@@ -1,8 +1,5 @@
 package repro.bipartite
 
-import java.util.concurrent.{Callable, Executors}
-import scala.jdk.CollectionConverters._
-
 /** ParB — parallel bottom-up peeling in the style of ParButterfly's BATCH
   * mode (Shi & Shun) as re-implemented by the RECEIPT paper for its
   * baseline comparison: every round peels *all* vertices whose support
@@ -30,18 +27,11 @@ object ParB {
     val tips = Array.fill[Long](g.nU)(-1L)
     var remaining = g.nU
     var rounds = 0L
-    val peelWedges = new java.util.concurrent.atomic.AtomicLong(0L)
-
-    val pool = Executors.newFixedThreadPool(threads)
-    // per-thread scratch
-    val scratchW = Array.fill(threads)(new Array[Int](g.nU))
-    val scratchT = Array.fill(threads)(new Array[Int](g.nU))
-    // per-round touched tracking (deduplicated) for heap pushes
-    val touchedFlag = new Array[Boolean](g.nU)
-
+    var peelWedges = 0L
+    val update = new BatchUpdate(st, threads)
     val batch = new Array[Int](g.nU)
 
-    while (remaining > 0) {
+    try while (remaining > 0) {
       // gather the batch: all live vertices at the current minimum support
       // Supports only decrease and a vertex is re-pushed exactly when its
       // support changes, so at most one entry per vertex matches its live
@@ -64,40 +54,17 @@ object ParB {
       while (i < nB) { tips(batch(i)) = minSup; st.markPeeled(batch(i)); i += 1 }
       remaining -= nB
 
-      // parallel update with a barrier (invokeAll) per round
-      val perRoundTouched = Array.fill(threads)(new scala.collection.mutable.ArrayBuffer[Int]())
-      val chunk = math.max(1, (nB + threads - 1) / threads)
-      val tasks = (0 until threads).flatMap { t =>
-        val from = t * chunk; val until = math.min(nB, from + chunk)
-        if (from >= until) None
-        else Some(new Callable[Unit] {
-          def call(): Unit = {
-            var w = 0L
-            var k = from
-            val buf = perRoundTouched(t)
-            while (k < until) {
-              w += st.update(batch(k), minSup, scratchW(t), scratchT(t), (u2, _) => buf += u2)
-              k += 1
-            }
-            peelWedges.addAndGet(w)
-            ()
-          }
-        })
-      }
-      pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
-
-      // push each distinct updated vertex once with its settled support
-      perRoundTouched.foreach(_.foreach { u2 =>
-        if (!touchedFlag(u2) && st.alive(u2)) { touchedFlag(u2) = true; heap.push(pack(st.sup.get(u2), u2)) }
-      })
-      perRoundTouched.foreach(_.foreach(u2 => touchedFlag(u2) = false))
+      // parallel update with a barrier per round; push each distinct
+      // updated vertex once with its settled support
+      val (w, touched) = update(batch, nB, minSup)
+      peelWedges += w
+      touched.foreach(u2 => heap.push(pack(st.sup.get(u2), u2)))
       rounds += 1
-    }
-    pool.shutdown()
+    } finally update.close()
     val t2 = System.nanoTime()
     TipResult(
       tips,
-      PeelMetrics(counts.wedges, peelWedges.get(), rounds, (t1 - t0) / 1e6, (t2 - t1) / 1e6)
+      PeelMetrics(counts.wedges, peelWedges, rounds, (t1 - t0) / 1e6, (t2 - t1) / 1e6)
     )
   }
 }

@@ -1,6 +1,9 @@
 package repro.bipartite
 
-import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLongArray}
+import java.util.concurrent.{Callable, Executors}
+import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong, AtomicLongArray}
+import scala.collection.mutable.ArrayBuffer
+import scala.jdk.CollectionConverters._
 
 /** Unboxed binary min-heap of packed longs. Peeling kernels pack
   * `(support << IdBits) | vertexId` so the heap orders by support first
@@ -105,12 +108,17 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
     while (u < g.nU) { sup.set(u, init(u)); u += 1 }
   }
 
-  def supportsSnapshot(): Array[Long] = Array.tabulate(g.nU)(sup.get)
-
   /** Stored traversal cost of peeling `u` now: Σ_{v∈N_u} storedLen(v). */
   def storedPeelCost(u: Int): Long = {
     var s = 0L
     g.foreachNbrU(u)(v => s += vLen(v))
+    s
+  }
+
+  /** Live traversal cost of peeling `u` now: Σ_{v∈N_u} curDeg_v. */
+  def livePeelCost(u: Int): Long = {
+    var s = 0L
+    g.foreachNbrU(u)(v => s += curDegV.get(v))
     s
   }
 
@@ -208,4 +216,53 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
       v += 1
     }
   }
+}
+
+/** One synchronization round of batch peeling on a thread pool: alg. 2
+  * `update` for every vertex of a batch, split into `threads` contiguous
+  * chunks with one barrier. Shared by ParB rounds and RECEIPT CD peel
+  * rounds. The pool and per-thread scratch are allocated once per instance
+  * and reused by every round; `close` shuts the pool down.
+  */
+final class BatchUpdate(st: PeelState, threads: Int) extends AutoCloseable {
+  private val pool = Executors.newFixedThreadPool(threads)
+  private val scratchW = Array.fill(threads)(new Array[Int](st.g.nU))
+  private val scratchT = Array.fill(threads)(new Array[Int](st.g.nU))
+  private val touchedFlag = new Array[Boolean](st.g.nU)
+
+  /** Updates for `batch(0 until n)`, already marked peeled, with decrements
+    * capped at `capFloor`. Returns the wedges traversed and the distinct
+    * live vertices whose support changed.
+    */
+  def apply(batch: Array[Int], n: Int, capFloor: Long): (Long, Array[Int]) = {
+    val wedges = new AtomicLong(0L)
+    val perThreadTouched = Array.fill(threads)(new ArrayBuffer[Int]())
+    val chunk = math.max(1, (n + threads - 1) / threads)
+    val tasks = (0 until threads).flatMap { t =>
+      val from = t * chunk; val until = math.min(n, from + chunk)
+      if (from >= until) None
+      else Some(new Callable[Unit] {
+        def call(): Unit = {
+          var w = 0L
+          var k = from
+          val buf = perThreadTouched(t)
+          while (k < until) {
+            w += st.update(batch(k), capFloor, scratchW(t), scratchT(t), (u2, _) => buf += u2)
+            k += 1
+          }
+          wedges.addAndGet(w)
+          ()
+        }
+      })
+    }
+    pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
+    val touched = new ArrayBuffer[Int]()
+    perThreadTouched.foreach(_.foreach { u2 =>
+      if (!touchedFlag(u2) && st.alive(u2)) { touchedFlag(u2) = true; touched += u2 }
+    })
+    touched.foreach(touchedFlag(_) = false)
+    (wedges.get(), touched.toArray)
+  }
+
+  def close(): Unit = pool.shutdown()
 }

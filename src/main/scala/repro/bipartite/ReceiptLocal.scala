@@ -1,8 +1,6 @@
 package repro.bipartite
 
-import java.util.concurrent.{Callable, Executors}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
-import scala.jdk.CollectionConverters._
 
 /** Shared-memory RECEIPT (algs. 3 + 4) — the paper's algorithm verbatim:
   *
@@ -68,31 +66,80 @@ object ReceiptLocal {
     val cd = coarseDecomposition(g, cfg)
     val t0 = System.nanoTime()
     val (tips, fdWedges) = fineDecomposition(g, cd, cfg)
-    val t1 = System.nanoTime()
+    result(tips, cd, fdWedges, fdTimeMs = (System.nanoTime() - t0) / 1e6)
+  }
+
+  /** Assembles a run's result from its CD and FD outputs (either substrate). */
+  private[repro] def result(tips: Array[Long], cd: CDResult, fdWedges: Long, fdTimeMs: Double): Result =
     Result(
       tips,
       Metrics(
         cntInitWedges = cd.cntInitWedges, hucWedges = cd.hucWedges,
         cdPeelWedges = cd.peelWedges, fdWedges = fdWedges,
         rounds = cd.rounds, subsets = cd.subsets, hucTriggers = cd.hucTriggers,
-        cntTimeMs = cd.cntTimeMs, cdTimeMs = cd.peelTimeMs, fdTimeMs = (t1 - t0) / 1e6
+        cntTimeMs = cd.cntTimeMs, cdTimeMs = cd.peelTimeMs, fdTimeMs = fdTimeMs
       ),
       cd
     )
-  }
 
   // ---------------------------------------------------------------- CD ----
 
+  /** What a CD substrate supplies to the alg. 3 driver; everything else —
+    * ranges, `⋈^init`, the HUC decision, bookkeeping — is the driver's.
+    */
+  trait CDRounds {
+    /** Cost of peeling live vertex `u` now, weighed by HUC against the
+      * re-count bound (called before the active set is marked peeled).
+      */
+    def peelCost(u: Int): Long
+
+    /** Applies the capped support decrements of peeling `batch` (already
+      * marked peeled). Returns the wedges traversed and the distinct live
+      * vertices whose support changed.
+      */
+    def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int])
+
+    /** Per-U butterfly counts of the live graph, `removed` (already marked
+      * peeled) now gone, and the wedges the count traversed.
+      */
+    def recount(removed: Array[Int]): (Array[Long], Long)
+  }
+
+  /** Shared-memory CD: vertex-priority counting, then the alg. 3 driver
+    * with threaded batch peel rounds and re-counts on the filtered graph.
+    */
   def coarseDecomposition(g: BipartiteGraph, cfg: Config): CDResult = {
-    val nU = g.nU
     val tCnt0 = System.nanoTime()
     val counts = ButterflyCounting.vertexPriority(g, cfg.threads)
-    val tCnt1 = System.nanoTime()
+    val cntTimeMs = (System.nanoTime() - tCnt0) / 1e6
 
     val st = new PeelState(g, cfg.enableDGM)
     st.setSupports(counts.cntU)
+    val update = new BatchUpdate(st, cfg.threads)
+    val rounds = new CDRounds {
+      def peelCost(u: Int): Long = st.storedPeelCost(u) // stale until DGM compacts
+      def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) =
+        update(batch, batch.length, capFloor)
+      def recount(removed: Array[Int]): (Array[Long], Long) = {
+        val rc = ButterflyCounting.vertexPriority(g.filterU(st.alive), cfg.threads)
+        (rc.cntU, rc.wedges)
+      }
+    }
+    try coarseDecomposition(st, cfg.P, cfg.enableHUC, counts.wedges, cntTimeMs, rounds)
+    finally update.close()
+  }
 
-    val w = g.wedgeEndpointCountU // static wedge-count proxy, per paper
+  /** Alg. 3 on any substrate: partitions the live vertices of `st` (supports
+    * seeded with the initial counts) into ≤ P+1 subsets of non-overlapping
+    * support ranges. Each range comes from [[findHi]] with the two-way
+    * adaptive target; each active set is either peeled or, under HUC when
+    * its peel cost exceeds the re-count bound, dropped and re-counted.
+    */
+  def coarseDecomposition(st: PeelState, P: Int, enableHUC: Boolean,
+                          cntInitWedges: Long, cntTimeMs: Double, sub: CDRounds): CDResult = {
+    val t0 = System.nanoTime()
+    val nU = st.g.nU
+    val w = st.g.wedgeEndpointCountU // static wedge-count proxy, per paper
     val subsetOf = Array.fill(nU)(-1)
     val supInit = new Array[Long](nU)
     val loBuf = scala.collection.mutable.ArrayBuffer[Long]()
@@ -103,12 +150,7 @@ object ReceiptLocal {
     var peelWedges = 0L
     var rounds = 0L
     var hucTriggers = 0
-    var cRcntCache = g.countCost
-
-    val pool = Executors.newFixedThreadPool(cfg.threads)
-    val scratchW = Array.fill(cfg.threads)(new Array[Int](nU))
-    val scratchT = Array.fill(cfg.threads)(new Array[Int](nU))
-    val touchedFlag = new Array[Boolean](nU)
+    var cRcntCache = st.recountCost
 
     var lo = 0L
     var i = 0
@@ -119,9 +161,9 @@ object ReceiptLocal {
       // ---- range upper bound (findHi with two-way adaptive target) ----
       var tgt = 0L
       val hi =
-        if (i >= cfg.P) Long.MaxValue // leftover subset U_{P+1}
+        if (i >= P) Long.MaxValue // leftover subset U_{P+1}
         else {
-          tgt = math.max(1L, (scale * remainingWedges / (cfg.P - i)).toLong)
+          tgt = math.max(1L, (scale * remainingWedges / (P - i)).toLong)
           findHi(st, w, tgt)
         }
       // ---- ⋈^init snapshot: support before any vertex of U_i is peeled ----
@@ -132,84 +174,49 @@ object ReceiptLocal {
       var active = scanActive(st, hi)
 
       while (active.nonEmpty) {
-        // ---- HUC decision: stored peel cost vs re-count bound ----
+        // ---- HUC decision: substrate peel cost vs re-count bound ----
         var cPeel = 0L
-        if (cfg.enableHUC) active.foreach(u0 => cPeel += st.storedPeelCost(u0))
+        if (enableHUC) active.foreach(u0 => cPeel += sub.peelCost(u0))
+        active.foreach { u0 => subsetOf(u0) = i; subsetW += w(u0); st.markPeeled(u0) }
+        rounds += 1
 
-        if (cfg.enableHUC && cPeel > cRcntCache) {
+        if (enableHUC && cPeel > cRcntCache) {
           hucTriggers += 1
-          active.foreach { u0 =>
-            subsetOf(u0) = i; subsetW += w(u0); st.markPeeled(u0)
-          }
-          val liveG = g.filterU(st.alive)
-          val rc = ButterflyCounting.vertexPriority(liveG, cfg.threads)
+          val (cnt, wedges) = sub.recount(active)
           var u2 = 0
-          while (u2 < nU) { if (st.alive(u2)) st.sup.set(u2, rc.cntU(u2)); u2 += 1 }
-          hucWedges += rc.wedges
+          while (u2 < nU) { if (st.alive(u2)) st.sup.set(u2, cnt(u2)); u2 += 1 }
+          hucWedges += wedges
           cRcntCache = st.recountCost
-          rounds += 1
           active = scanActive(st, hi)
         } else {
-          active.foreach { u0 => subsetOf(u0) = i; subsetW += w(u0); st.markPeeled(u0) }
-          val roundWedges = new AtomicLong(0L)
-          val perThreadTouched = Array.fill(cfg.threads)(new scala.collection.mutable.ArrayBuffer[Int]())
-          val nB = active.length
-          val chunk = math.max(1, (nB + cfg.threads - 1) / cfg.threads)
-          val loCap = lo
-          val tasks = (0 until cfg.threads).flatMap { t =>
-            val from = t * chunk; val until = math.min(nB, from + chunk)
-            if (from >= until) None
-            else Some(new Callable[Unit] {
-              def call(): Unit = {
-                var wsum = 0L
-                var k = from
-                val buf = perThreadTouched(t)
-                while (k < until) {
-                  wsum += st.update(active(k), loCap, scratchW(t), scratchT(t), (u2, _) => buf += u2)
-                  k += 1
-                }
-                roundWedges.addAndGet(wsum)
-                ()
-              }
-            })
-          }
-          pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
-          peelWedges += roundWedges.get()
-          st.chargeWedges(roundWedges.get())
-          rounds += 1
-          // next active set: distinct touched vertices now inside the range
-          val next = scala.collection.mutable.ArrayBuffer[Int]()
-          perThreadTouched.foreach(_.foreach { u2 =>
-            if (!touchedFlag(u2) && st.alive(u2) && st.sup.get(u2) < hi) {
-              touchedFlag(u2) = true; next += u2
-            }
-          })
-          next.foreach(touchedFlag(_) = false)
-          active = next.toArray
+          val (wedges, touched) = sub.peel(active, lo)
+          peelWedges += wedges
+          st.chargeWedges(wedges)
+          // next active set: touched vertices now inside the range (every
+          // other live vertex kept its support, which is ≥ hi)
+          active = touched.filter(st.sup.get(_) < hi)
         }
       }
 
       loBuf += lo; hiBuf += hi; swBuf += subsetW
-      if (i < cfg.P && subsetW > 0) scale = math.min(1.0, tgt.toDouble / subsetW.toDouble)
+      if (i < P && subsetW > 0) scale = math.min(1.0, tgt.toDouble / subsetW.toDouble)
       remainingWedges -= subsetW
       lo = hi
       i += 1
     }
-    pool.shutdown()
-    val tPeel1 = System.nanoTime()
 
     CDResult(
       subsetOf, supInit, loBuf.toArray, hiBuf.toArray, swBuf.toArray,
-      cntInitWedges = counts.wedges, hucWedges = hucWedges, peelWedges = peelWedges,
+      cntInitWedges = cntInitWedges, hucWedges = hucWedges, peelWedges = peelWedges,
       rounds = rounds, hucTriggers = hucTriggers,
-      cntTimeMs = (tCnt1 - tCnt0) / 1e6, peelTimeMs = (tPeel1 - tCnt1) / 1e6
+      cntTimeMs = cntTimeMs, peelTimeMs = (System.nanoTime() - t0) / 1e6
     )
   }
 
   /** All live vertices with support below `hi` (supports are ≥ the current
-    * range floor by the cap invariant). Shared with the Spark CD driver.
+    * range floor by the cap invariant).
     */
-  def scanActive(st: PeelState, hi: Long): Array[Int] = {
+  private def scanActive(st: PeelState, hi: Long): Array[Int] = {
     val b = new scala.collection.mutable.ArrayBuffer[Int]()
     var u = 0
     while (u < st.g.nU) { if (st.alive(u) && st.sup.get(u) < hi) b += u; u += 1 }
@@ -220,7 +227,7 @@ object ReceiptLocal {
     * prefix-sum in ascending support order, return `θ + 1` for the smallest
     * support θ whose cumulative wedge count reaches `tgt`.
     */
-  def findHi(st: PeelState, w: Array[Long], tgt: Long): Long = {
+  private def findHi(st: PeelState, w: Array[Long], tgt: Long): Long = {
     val pairs = new scala.collection.mutable.ArrayBuffer[(Long, Long)]()
     var u = 0
     while (u < st.g.nU) { if (st.alive(u)) pairs += ((st.sup.get(u), w(u))); u += 1 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.bipartite.BipartiteGraph
 
@@ -23,20 +23,30 @@ object BipartiteDF {
     edges.groupBy("u").agg(count(lit(1)) as "du")
 
   /** Σ_v C(d_v, 2): wedges with both endpoints in U. */
-  def wedgesEndpointsU(edges: DataFrame): Long =
-    degreesV(edges)
-      .agg(sum(col("dv") * (col("dv") - 1) / 2) as "w")
-      .collect()(0).getAs[Any]("w") match {
-        case null          => 0L
-        case d: java.math.BigDecimal => d.longValueExact()
-        case l: Long       => l
-        case d: Double     => d.toLong
-      }
+  def wedgesEndpointsU(edges: DataFrame): Long = {
+    val w = degreesV(edges).agg(sum(col("dv") * (col("dv") - 1) / 2) as "w")
+    longAt(w.collect()(0), 0)
+  }
 
-  /** Collect a DataFrame of edges into a local [[BipartiteGraph]]. */
+  /** Column `i` of a collected aggregate row as a long: sums arrive as
+    * `Long`, `BigDecimal` or `Double` depending on the input type, and as
+    * null over no rows (read as 0).
+    */
+  def longAt(r: Row, i: Int): Long = r.get(i) match {
+    case null                    => 0L
+    case l: Long                 => l
+    case d: java.math.BigDecimal => d.longValueExact()
+    case d: Double               => d.toLong
+  }
+
+  /** Collect a DataFrame of edges into a local [[BipartiteGraph]]; every
+    * edge must lie in `[0, nU) × [0, nV)`.
+    */
   def toLocal(edges: DataFrame, nU: Int, nV: Int): BipartiteGraph = {
     val packed = canonical(edges).collect().map { r =>
-      (r.getLong(0) << 32) | (r.getLong(1) & 0xffffffffL)
+      val u = r.getLong(0); val v = r.getLong(1)
+      require(u >= 0 && u < nU && v >= 0 && v < nV, s"edge ($u,$v) out of range ($nU,$nV)")
+      (u << 32) | v
     }
     BipartiteGraph.fromPacked(nU, nV, packed, dedup = true)
   }
@@ -46,10 +56,4 @@ object BipartiteDF {
     */
   def transposed(edges: DataFrame): DataFrame =
     edges.select(col("v") as "u", col("u") as "v")
-
-  /** A dataset of longs usable as a join key set. */
-  def keySet(spark: SparkSession, name: String, keys: Iterable[Long]): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(keys.toSeq).toDF(name)
-  }
 }

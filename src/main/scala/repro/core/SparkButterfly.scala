@@ -52,8 +52,10 @@ object SparkButterfly {
   }
 
   /** Per-vertex counts `(node, cnt)` in combined id space (non-zero only). */
-  def countsDF(edges: DataFrame): DataFrame = {
-    val w = wedges(edges)
+  def countsDF(edges: DataFrame): DataFrame = countsOf(wedges(edges))
+
+  /** The per-vertex aggregation of a priority-filtered wedge table `w`. */
+  private def countsOf(w: DataFrame): DataFrame = {
     val pairC = w.groupBy("sp", "ep").agg(count(lit(1)) as "c")
     val same = pairC
       .select(col("sp") as "node", (col("c") * (col("c") - 1) / 2) as "b")
@@ -75,27 +77,11 @@ object SparkButterfly {
     val wedgeRows = w.count()
     val cntU = new Array[Long](nU)
     val cntV = new Array[Long](nV)
-    val pairC = w.groupBy("sp", "ep").agg(count(lit(1)) as "c")
-    val same = pairC
-      .select(col("sp") as "node", (col("c") * (col("c") - 1) / 2) as "b")
-      .union(pairC.select(col("ep") as "node", (col("c") * (col("c") - 1) / 2) as "b"))
-    val mid = w
-      .join(pairC, Seq("sp", "ep"))
-      .select(col("mp") as "node", (col("c") - 1) as "b")
-    same.union(mid)
-      .groupBy("node")
-      .agg(sum("b") as "cnt")
-      .where(col("cnt") > 0)
-      .collect()
-      .foreach { r =>
-        val node = r.getLong(0)
-        val cnt = r.getAs[Any](1) match {
-          case l: Long                 => l
-          case d: java.math.BigDecimal => d.longValueExact()
-          case d: Double               => d.toLong
-        }
-        if (node % 2 == 0) cntU((node / 2).toInt) = cnt else cntV(((node - 1) / 2).toInt) = cnt
-      }
+    countsOf(w).collect().foreach { r =>
+      val node = r.getLong(0)
+      val cnt = BipartiteDF.longAt(r, 1)
+      if (node % 2 == 0) cntU((node / 2).toInt) = cnt else cntV(((node - 1) / 2).toInt) = cnt
+    }
     w.unpersist()
     Result(cntU, cntV, wedgeRows)
   }

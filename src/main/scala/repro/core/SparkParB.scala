@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.bipartite.PeelState
 
 /** ParB (parallel bottom-up peeling, ParButterfly BATCH mode) as a Spark
@@ -28,86 +27,36 @@ object SparkParB {
 
   def run(spark: SparkSession, edgesIn: DataFrame, nU: Int, nV: Int,
           budgetMs: Long = 120000, maxRounds: Long = Long.MaxValue): Result = {
-    import spark.implicits._
-    val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    val prevAqe = spark.conf.get("spark.sql.adaptive.enabled")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark.conf.set("spark.sql.adaptive.enabled", "false")
-    try runInner(spark, edgesIn, nU, nV, budgetMs, maxRounds)
-    finally {
-      spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
-      spark.conf.set("spark.sql.adaptive.enabled", prevAqe)
-    }
-  }
-
-  private def runInner(spark: SparkSession, edgesIn: DataFrame, nU: Int, nV: Int,
-                       budgetMs: Long, maxRounds: Long): Result = {
-    import spark.implicits._
     val t0 = System.nanoTime()
-    val edges0 = BipartiteDF.canonical(edgesIn).cache()
-    edges0.count()
-    val g = BipartiteDF.toLocal(edges0, nU, nV)
-    val st = new PeelState(g, enableDGM = false) // driver support bookkeeping
+    SparkPeel.withLiveEdges(spark, edgesIn) { live =>
+      val g = BipartiteDF.toLocal(live.edges0, nU, nV)
+      val st = new PeelState(g, enableDGM = false) // driver support bookkeeping
 
-    val counts = SparkButterfly.perVertex(spark, edges0, nU, nV)
-    st.setSupports(counts.cntU)
+      val counts = SparkButterfly.perVertex(spark, live.edges0, nU, nV)
+      st.setSupports(counts.cntU)
 
-    val tips = Array.fill[Long](nU)(-1L)
-    var rounds = 0L
-    var peelWedges = 0L
-    var edgesCur = edges0
-    var sinceCheckpoint = 0
-    val pendingUnpersist = scala.collection.mutable.ArrayBuffer[DataFrame]()
+      val tips = Array.fill[Long](nU)(-1L)
+      var rounds = 0L
+      var peelWedges = 0L
 
-    def elapsedMs: Double = (System.nanoTime() - t0) / 1e6
+      def elapsedMs: Double = (System.nanoTime() - t0) / 1e6
 
-    while (st.aliveCount > 0 && elapsedMs < budgetMs && rounds < maxRounds) {
-      // batch = all live vertices at minimum support
-      var m = Long.MaxValue
-      var u = 0
-      while (u < nU) { if (st.alive(u) && st.sup.get(u) < m) m = st.sup.get(u); u += 1 }
-      val batch = scala.collection.mutable.ArrayBuffer[Int]()
-      u = 0
-      while (u < nU) { if (st.alive(u) && st.sup.get(u) == m) batch += u; u += 1 }
-      batch.foreach { u1 => tips(u1) = m; st.markPeeled(u1) }
+      while (st.aliveCount > 0 && elapsedMs < budgetMs && rounds < maxRounds) {
+        // batch = all live vertices at minimum support
+        var m = Long.MaxValue
+        var u = 0
+        while (u < nU) { if (st.alive(u) && st.sup.get(u) < m) m = st.sup.get(u); u += 1 }
+        val batch = scala.collection.mutable.ArrayBuffer[Int]()
+        u = 0
+        while (u < nU) { if (st.alive(u) && st.sup.get(u) == m) batch += u; u += 1 }
+        batch.foreach { u1 => tips(u1) = m; st.markPeeled(u1) }
 
-      val sDF = spark.createDataset(batch.toSeq.map(_.toLong)).toDF("u")
-      val updates = edgesCur.join(sDF, "u").select(col("u") as "pu", col("v"))
-        .join(edgesCur.select(col("u") as "u2", col("v")), "v")
-        .where(col("u2") =!= col("pu"))
-        .groupBy("pu", "u2").agg(count(lit(1)) as "c")
-        .groupBy("u2")
-        .agg(sum(col("c") * (col("c") - 1) / 2) as "dec", sum(col("c")) as "wsum")
-        .collect()
-      updates.foreach { r =>
-        val u2 = r.getLong(0).toInt
-        val dec = r.getAs[Any](1) match {
-          case null => 0L
-          case l: Long => l
-          case d: java.math.BigDecimal => d.longValueExact()
-          case d: Double => d.toLong
-        }
-        val wsum = r.getAs[Any](2) match {
-          case l: Long => l
-          case d: java.math.BigDecimal => d.longValueExact()
-          case d: Double => d.toLong
-        }
-        peelWedges += wsum
-        if (st.alive(u2) && dec > 0) st.sup.set(u2, math.max(m, st.sup.get(u2) - dec))
+        val peeled = SparkPeel.vertexSet(spark, batch.toArray)
+        peelWedges += SparkPeel.peelRound(st, live.cur, peeled, m)._1
+        live.drop(peeled)
+        rounds += 1
       }
-
-      val next0 = edgesCur.join(sDF, Seq("u"), "left_anti")
-      pendingUnpersist += edgesCur
-      edgesCur =
-        if (sinceCheckpoint >= 16) {
-          sinceCheckpoint = 0
-          val n = next0.localCheckpoint(true)
-          pendingUnpersist.foreach(_.unpersist()); pendingUnpersist.clear()
-          n
-        } else { sinceCheckpoint += 1; next0.cache() }
-      rounds += 1
+      Result(tips, rounds, peelWedges, finished = st.aliveCount == 0, elapsedMs)
     }
-    pendingUnpersist.foreach(_.unpersist())
-    Result(tips, rounds, peelWedges, finished = st.aliveCount == 0, elapsedMs)
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.bipartite.{BipartiteGraph, BUP, PeelState, Peeling, ReceiptLocal}
+import repro.bipartite.{BipartiteGraph, BUP, PeelState, ReceiptLocal}
 
 /** RECEIPT as a Spark dataflow.
   *
@@ -16,8 +16,11 @@ import repro.bipartite.{BipartiteGraph, BUP, PeelState, Peeling, ReceiptLocal}
   *    The job barrier *is* the synchronization round ρ counts.
   *  - **Control state lives on the driver** (support array, range bounds,
   *    HUC cost estimates via a [[PeelState]] skeleton) — the analogue of
-  *    the paper's shared arrays; all wedge-heavy work (counting, update
-  *    aggregation, induced peels) runs distributed.
+  *    the paper's shared arrays. The CD loop is the same alg. 3 driver the
+  *    shared-memory engine runs ([[ReceiptLocal.coarseDecomposition]]);
+  *    only its peel rounds and re-counts are Spark jobs ([[SparkPeel]]),
+  *    so all wedge-heavy work (counting, update aggregation, induced
+  *    peels) runs distributed.
   *  - **DGM is structural here**: peeled vertices are anti-joined out of
   *    the live edge DataFrame every iteration, so no stale wedges are ever
   *    shuffled (the paper's periodic compaction, at iteration granularity).
@@ -31,193 +34,49 @@ import repro.bipartite.{BipartiteGraph, BUP, PeelState, Peeling, ReceiptLocal}
   */
 object SparkReceipt {
 
-  final case class Config(
-      P: Int = 15,
-      enableHUC: Boolean = true,
-      checkpointEvery: Int = 8
-  )
+  final case class Config(P: Int = 15, enableHUC: Boolean = true)
 
-  final case class Metrics(
-      cntInitWedges: Long,
-      hucWedges: Long,
-      cdPeelWedges: Long,
-      fdWedges: Long,
-      rounds: Long,
-      subsets: Int,
-      hucTriggers: Int,
-      cntTimeMs: Double,
-      cdTimeMs: Double,
-      fdTimeMs: Double
-  ) {
-    def totalWedges: Long = cntInitWedges + hucWedges + cdPeelWedges + fdWedges
-    def totalTimeMs: Double = cntTimeMs + cdTimeMs + fdTimeMs
-  }
-
-  final case class Result(tips: Array[Long], metrics: Metrics)
+  type Metrics = ReceiptLocal.Metrics
+  type Result = ReceiptLocal.Result
 
   def run(spark: SparkSession, edgesIn: DataFrame, nU: Int, nV: Int,
-          cfg: Config = Config()): Result = {
+          cfg: Config = Config()): Result = SparkPeel.withLiveEdges(spark, edgesIn) { live =>
     import spark.implicits._
-
-    // CD runs many small iterative jobs; at reproduction scale wide shuffles
-    // and adaptive re-planning are pure overhead, so narrow/disable them for
-    // the duration of the run.
-    val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    val prevAqe = spark.conf.get("spark.sql.adaptive.enabled")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark.conf.set("spark.sql.adaptive.enabled", "false")
-    try runInner(spark, edgesIn, nU, nV, cfg)
-    finally {
-      spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
-      spark.conf.set("spark.sql.adaptive.enabled", prevAqe)
-    }
-  }
-
-  private def runInner(spark: SparkSession, edgesIn: DataFrame, nU: Int, nV: Int,
-                       cfg: Config): Result = {
-    import spark.implicits._
-
-    val edges0 = BipartiteDF.canonical(edgesIn).cache()
-    edges0.count()
 
     // Driver-side skeleton: adjacency for cost estimates and FD membership.
-    val g = BipartiteDF.toLocal(edges0, nU, nV)
+    val g = BipartiteDF.toLocal(live.edges0, nU, nV)
     val st = new PeelState(g, enableDGM = false) // bookkeeping only
-    val w = g.wedgeEndpointCountU
 
     // ---- initial counting (Spark dataflow) ----
     val tCnt0 = System.nanoTime()
-    val counts = SparkButterfly.perVertex(spark, edges0, nU, nV)
+    val counts = SparkButterfly.perVertex(spark, live.edges0, nU, nV)
     st.setSupports(counts.cntU)
-    val tCnt1 = System.nanoTime()
+    val cntTimeMs = (System.nanoTime() - tCnt0) / 1e6
 
-    // ---- Coarse-grained Decomposition ----
-    val subsetOf = Array.fill(nU)(-1)
-    val supInit = new Array[Long](nU)
-    val loBuf = scala.collection.mutable.ArrayBuffer[Long]()
-    val hiBuf = scala.collection.mutable.ArrayBuffer[Long]()
-
-    var edgesCur = edges0
-    var rounds = 0L
-    var hucTriggers = 0
-    var hucWedges = 0L
-    var cdPeelWedges = 0L
-    var cRcntCache = st.recountCost
-    var lo = 0L
-    var i = 0
-    var scale = 1.0
-    var remainingWedges = w.sum
-    var sinceCheckpoint = 0
-    // Cached intermediates are unpersisted only once a later checkpoint has
-    // materialized, so no live lineage ever points at dropped blocks.
-    val pendingUnpersist = scala.collection.mutable.ArrayBuffer[DataFrame]()
-
-    def nextEdges(cur: DataFrame, peeled: DataFrame): DataFrame = {
-      val next0 = cur.join(peeled, Seq("u"), "left_anti")
-      pendingUnpersist += cur
-      if (sinceCheckpoint >= cfg.checkpointEvery) {
-        sinceCheckpoint = 0
-        val next = next0.localCheckpoint(true) // eager: lineage truncated here
-        pendingUnpersist.foreach(_.unpersist())
-        pendingUnpersist.clear()
-        next
-      } else {
-        sinceCheckpoint += 1
-        next0.cache() // lazy: materializes with the next round's job
+    // ---- Coarse-grained Decomposition: the shared alg. 3 driver ----
+    val rounds = new ReceiptLocal.CDRounds {
+      def peelCost(u: Int): Long = st.livePeelCost(u) // DGM is structural here
+      def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = {
+        val peeled = SparkPeel.vertexSet(spark, batch)
+        val r = SparkPeel.peelRound(st, live.cur, peeled, capFloor)
+        live.drop(peeled)
+        r
+      }
+      def recount(removed: Array[Int]): (Array[Long], Long) = {
+        live.drop(SparkPeel.vertexSet(spark, removed))
+        val rc = SparkButterfly.perVertex(spark, live.cur, nU, nV)
+        (rc.cntU, rc.wedgeRows)
       }
     }
-
-    def livePeelCost(u: Int): Long = {
-      var s = 0L
-      g.foreachNbrU(u)(v => s += st.curDegV.get(v))
-      s
-    }
-
-    while (st.aliveCount > 0) {
-      var tgt = 0L
-      val hi =
-        if (i >= cfg.P) Long.MaxValue
-        else {
-          tgt = math.max(1L, (scale * remainingWedges / (cfg.P - i)).toLong)
-          ReceiptLocal.findHi(st, w, tgt)
-        }
-      var u0 = 0
-      while (u0 < nU) { if (st.alive(u0)) supInit(u0) = st.sup.get(u0); u0 += 1 }
-
-      var subsetW = 0L
-      var active = ReceiptLocal.scanActive(st, hi)
-
-      while (active.nonEmpty) {
-        var cPeel = 0L
-        if (cfg.enableHUC) active.foreach(u1 => cPeel += livePeelCost(u1))
-
-        val sDF = spark.createDataset(active.map(_.toLong).toSeq).toDF("u")
-
-        if (cfg.enableHUC && cPeel > cRcntCache) {
-          // ---- HUC round: drop the active set, re-count distributed ----
-          hucTriggers += 1
-          active.foreach { u1 => subsetOf(u1) = i; subsetW += w(u1); st.markPeeled(u1) }
-          edgesCur = nextEdges(edgesCur, sDF)
-          val rc = SparkButterfly.perVertex(spark, edgesCur, nU, nV)
-          var u2 = 0
-          while (u2 < nU) { if (st.alive(u2)) st.sup.set(u2, rc.cntU(u2)); u2 += 1 }
-          hucWedges += rc.wedgeRows
-          cRcntCache = st.recountCost
-          rounds += 1
-          active = ReceiptLocal.scanActive(st, hi)
-        } else {
-          // ---- peel round: one distributed wedge join + aggregation ----
-          active.foreach { u1 => subsetOf(u1) = i; subsetW += w(u1); st.markPeeled(u1) }
-          val peeledEdges = edgesCur.join(sDF, "u").select(col("u") as "pu", col("v"))
-          val updates = peeledEdges
-            .join(edgesCur.select(col("u") as "u2", col("v")), "v")
-            .where(col("u2") =!= col("pu"))
-            .groupBy("pu", "u2").agg(count(lit(1)) as "c")
-            .groupBy("u2")
-            .agg(sum(col("c") * (col("c") - 1) / 2) as "dec", sum(col("c")) as "wsum")
-            .collect()
-          var roundWedges = 0L
-          updates.foreach { r =>
-            val u2 = r.getLong(0)
-            val dec = r.getAs[Any](1) match {
-              case l: Long => l
-              case d: java.math.BigDecimal => d.longValueExact()
-              case d: Double => d.toLong
-            }
-            val wsum = r.getAs[Any](2) match {
-              case l: Long => l
-              case d: java.math.BigDecimal => d.longValueExact()
-              case d: Double => d.toLong
-            }
-            roundWedges += wsum
-            val ui = u2.toInt
-            if (st.alive(ui) && dec > 0) {
-              val cur = st.sup.get(ui)
-              st.sup.set(ui, math.max(lo, cur - dec))
-            }
-          }
-          cdPeelWedges += roundWedges
-          edgesCur = nextEdges(edgesCur, sDF)
-          rounds += 1
-          active = ReceiptLocal.scanActive(st, hi)
-        }
-      }
-
-      loBuf += lo; hiBuf += hi
-      if (i < cfg.P && subsetW > 0) scale = math.min(1.0, tgt.toDouble / subsetW.toDouble)
-      remainingWedges -= subsetW
-      lo = hi
-      i += 1
-    }
+    val cd = ReceiptLocal.coarseDecomposition(st, cfg.P, cfg.enableHUC, counts.wedgeRows, cntTimeMs, rounds)
     val tCd1 = System.nanoTime()
 
     // ---- Fine-grained Decomposition ----
-    val loArr = loBuf.toArray
     val assign = (0 until nU).collect {
-      case u if subsetOf(u) >= 0 => (u.toLong, subsetOf(u), supInit(u))
+      case u if cd.subsetOf(u) >= 0 => (u.toLong, cd.subsetOf(u), cd.supInit(u))
     }
     val assignDF = spark.createDataset(assign.toSeq).toDF("u", "subset", "supInit")
-    val induced = edges0.join(assignDF, "u")
+    val induced = live.edges0.join(assignDF, "u")
       .select(col("subset").cast("int") as "subset", col("u"), col("v"), col("supInit"))
       .as[(Int, Long, Long, Long)]
 
@@ -236,22 +95,10 @@ object SparkReceipt {
     // known and their tip number is their (zero) support.
     var u3 = 0
     while (u3 < nU) {
-      if (tips(u3) < 0 && subsetOf(u3) >= 0 && g.degU(u3) == 0) tips(u3) = supInit(u3)
+      if (tips(u3) < 0 && cd.subsetOf(u3) >= 0 && g.degU(u3) == 0) tips(u3) = cd.supInit(u3)
       u3 += 1
     }
-    val tFd1 = System.nanoTime()
-
-    Result(
-      tips,
-      Metrics(
-        cntInitWedges = counts.wedgeRows, hucWedges = hucWedges,
-        cdPeelWedges = cdPeelWedges, fdWedges = fdWedges,
-        rounds = rounds, subsets = loArr.length, hucTriggers = hucTriggers,
-        cntTimeMs = (tCnt1 - tCnt0) / 1e6,
-        cdTimeMs = (tCd1 - tCnt1) / 1e6,
-        fdTimeMs = (tFd1 - tCd1) / 1e6
-      )
-    )
+    ReceiptLocal.result(tips, cd, fdWedges, fdTimeMs = (System.nanoTime() - tCd1) / 1e6)
   }
 
   /** FD executor task: exact sequential BUP on one subset's induced

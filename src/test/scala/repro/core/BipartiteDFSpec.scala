@@ -34,6 +34,15 @@ class BipartiteDFSpec extends SparkSpec {
     for (u <- 0 until g.nU) assert(back.degU(u) == g.degU(u))
   }
 
+  test("toLocal rejects edge ids outside [0, nU) x [0, nV)") {
+    import spark.implicits._
+    for ((u, v) <- Seq(((1L << 32) + 1, 0L), (5L, 0L), (0L, 3L), (-1L, 0L))) {
+      val df = Seq((0L, 0L), (u, v)).toDF("u", "v")
+      val e = intercept[IllegalArgumentException](BipartiteDF.toLocal(df, 5, 3))
+      assert(e.getMessage.contains(s"edge ($u,$v) out of range (5,3)"))
+    }
+  }
+
   test("transposed swaps columns") {
     val (g, df) = BipartiteGen.randomWithDF(spark, 20, 15, 100, seed = 4)
     val t = BipartiteDF.transposed(df)

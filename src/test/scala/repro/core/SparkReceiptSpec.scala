@@ -7,6 +7,16 @@ class SparkReceiptSpec extends SparkSpec {
 
   private def cfg(p: Int, huc: Boolean = true) = SparkReceipt.Config(P = p, enableHUC = huc)
 
+  /** A hub graph: 80% of its edges land on 4 of its 80 V vertices. */
+  private def hubGraph(seed: Long): BipartiteGraph = {
+    val rnd = new java.util.Random(seed)
+    val es = (0 until 2500).map { _ =>
+      val v = if (rnd.nextDouble() < 0.8) rnd.nextInt(4) else 4 + rnd.nextInt(76)
+      (rnd.nextInt(300), v)
+    }
+    BipartiteGraph.fromEdges(300, 80, es)
+  }
+
   for (seed <- 0 until 4)
     test(s"Spark RECEIPT tips equal sequential BUP (seed=$seed)") {
       val (g, df) = BipartiteGen.randomWithDF(spark, 60 + 20 * seed, 40 + 10 * seed, 700, seed)
@@ -25,12 +35,7 @@ class SparkReceiptSpec extends SparkSpec {
   }
 
   test("Spark RECEIPT on a skewed hub graph (HUC territory) equals BUP") {
-    val rnd = new java.util.Random(3)
-    val es = (0 until 2500).map { _ =>
-      val v = if (rnd.nextDouble() < 0.8) rnd.nextInt(4) else 4 + rnd.nextInt(76)
-      (rnd.nextInt(300), v)
-    }
-    val g = BipartiteGraph.fromEdges(300, 80, es)
+    val g = hubGraph(3)
     val df = BipartiteGen.edgesDF(spark, g)
     val bup = BUP.run(g).tips
     val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(4))
@@ -113,5 +118,30 @@ class SparkReceiptSpec extends SparkSpec {
     val (g, df) = BipartiteGen.randomWithDF(spark, 200, 150, 2500, seed = 37)
     val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(6, huc = false))
     assert(rec.metrics.fdWedges <= rec.metrics.cdPeelWedges)
+  }
+
+  test("CD with HUC off: Spark and local engines agree on subsets, ranges and rounds") {
+    for ((g, p) <- Seq((BipartiteGraph.random(300, 200, 4000, 31), 5), (hubGraph(3), 4))) {
+      val local = ReceiptLocal.coarseDecomposition(g, ReceiptLocal.Config(P = p, threads = 4, enableHUC = false))
+      val dist = SparkReceipt.run(spark, BipartiteGen.edgesDF(spark, g), g.nU, g.nV, cfg(p, huc = false)).cd
+      assert(dist.subsetOf.toSeq == local.subsetOf.toSeq)
+      assert(dist.lo.toSeq == local.lo.toSeq)
+      assert(dist.hi.toSeq == local.hi.toSeq)
+      assert(dist.rounds == local.rounds)
+      assert(dist.subsets == local.subsets)
+    }
+  }
+
+  test("a run leaves no RDD persisted, with more and with at most 8 CD rounds") {
+    val sc = spark.sparkContext
+    for ((g, p, manyRounds) <- Seq((BipartiteGraph.random(300, 200, 4000, 31), 5, true), (hubGraph(3), 4, false))) {
+      val df = BipartiteGen.edgesDF(spark, g)
+      val before = sc.getPersistentRDDs.keySet
+      val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(p))
+      assert((rec.metrics.rounds > SparkPeel.CheckpointEvery) == manyRounds, s"rounds=${rec.metrics.rounds}")
+      val left = sc.getPersistentRDDs.keySet -- before
+      assert(left.isEmpty, s"still persisted after the run: $left")
+      assert(sc.getPersistentRDDs.size == before.size)
+    }
   }
 }
