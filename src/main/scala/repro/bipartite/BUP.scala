@@ -51,8 +51,9 @@ object BUP {
 
   /** Peel `members ⊆ U` of `g` with supports initialized from `initSup`
     * (indexed by vertex id). Vertices outside `members` are treated as
-    * absent — callers pass an induced subgraph whose other U vertices have
-    * empty adjacency (RECEIPT FD) or the full vertex set (baseline BUP).
+    * absent — callers pass the full vertex set (baseline BUP, FD's
+    * [[peelSubset]]) or an induced subgraph whose other U vertices have
+    * empty adjacency.
     * Returns tips (entries for non-members are -1).
     */
   def peel(g: BipartiteGraph, initSup: Array[Long], members: Array[Int],
@@ -89,5 +90,35 @@ object BUP {
     }
     val t1 = System.nanoTime()
     TipResult(tips, PeelMetrics(0L, peelWedges, 0L, 0.0, (t1 - t0) / 1e6))
+  }
+
+  /** One FD task of alg. 4, shared by both RECEIPT engines: exact [[peel]]
+    * of one subset's induced subgraph `(U_i, V)` seeded from `⋈^init`, on
+    * dense local ids, so it takes O(|U_i| + |V_i| + m_i) space. Local ids
+    * keep ascending global order on both sides, and with it the heap's
+    * tie-breaks: tips, DGM compactions and wedges equal a global-id peel.
+    *
+    * @param members the subset's U vertices, ascending
+    * @param initSup `⋈^init` of each member, aligned with `members`
+    * @param edges   the induced edges `(u << 32) | v` in global ids, ascending
+    * @return each member's tip number, aligned with `members`, and the
+    *         wedges traversed
+    */
+  def peelSubset(members: Array[Int], initSup: Array[Long], edges: Array[Long],
+                 enableDGM: Boolean): (Array[Long], Long) = {
+    val vs = new Array[Int](edges.length)
+    for (k <- edges.indices) vs(k) = edges(k).toInt
+    java.util.Arrays.sort(vs)
+    var nV = 0
+    for (k <- vs.indices) if (nV == 0 || vs(k) != vs(nV - 1)) { vs(nV) = vs(k); nV += 1 }
+    val local = new Array[Long](edges.length)
+    var lu = 0
+    for (k <- edges.indices) {
+      while (members(lu) != (edges(k) >>> 32).toInt) lu += 1
+      local(k) = (lu.toLong << 32) | java.util.Arrays.binarySearch(vs, 0, nV, edges(k).toInt)
+    }
+    val g = BipartiteGraph.fromPacked(members.length, nV, local, dedup = false)
+    val r = peel(g, initSup, Array.range(0, members.length), enableDGM)
+    (r.tips, r.metrics.peelWedges)
   }
 }

@@ -22,9 +22,6 @@ final case class ButterflyCounts(cntU: Array[Long], cntV: Array[Long], wedges: L
   * `O(Σ_{(u,v)∈E} min(d_u, d_v))` total wedges instead of `O(Σ_v d_v²)`.
   * A two-pass formulation replaces the `nzw` wedge log of the pseudocode so
   * no per-start-vertex wedge list is materialized.
-  *
-  * `bruteForce` enumerates same-side pair common-neighbour counts with
-  * hashmaps — `O(Σ_v d_v²)` — and exists as an oracle for tests.
   */
 object ButterflyCounting {
 
@@ -158,40 +155,14 @@ object ButterflyCounting {
 
     if (threads <= 1 || n < 1024) processRange(0, n)
     else {
-      val pool   = java.util.concurrent.Executors.newFixedThreadPool(threads)
-      val chunk  = math.max(1, (n + 4 * threads - 1) / (4 * threads))
-      val tasks  = (0 until n by chunk).map { from =>
-        val until = math.min(n, from + chunk)
-        new java.util.concurrent.Callable[Unit] { def call(): Unit = processRange(from, until) }
+      val chunk = math.max(1, (n + 4 * threads - 1) / (4 * threads))
+      WorkerPool.run(threads, (n + chunk - 1) / chunk) { t =>
+        processRange(t * chunk, math.min(n, (t + 1) * chunk))
       }
-      import scala.jdk.CollectionConverters._
-      pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
-      pool.shutdown()
     }
 
     val cntU = Array.tabulate(g.nU)(u => cnt.get(u))
     val cntV = Array.tabulate(g.nV)(v => cnt.get(g.nU + v))
     ButterflyCounts(cntU, cntV, wedgesTotal.get())
-  }
-
-  /** Oracle: counts via same-side pair common-neighbour enumeration.
-    * ⋈_u = Σ_{u'≠u} C(|N_u ∩ N_{u'}|, 2); only for small test graphs.
-    */
-  def bruteForce(g: BipartiteGraph): ButterflyCounts = {
-    def side(nS: Int, foreachNbr: (Int, Int => Unit) => Unit, foreachBack: (Int, Int => Unit) => Unit): Array[Long] = {
-      val out = new Array[Long](nS)
-      val common = new scala.collection.mutable.HashMap[Int, Int]()
-      var u = 0
-      while (u < nS) {
-        common.clear()
-        foreachNbr(u, v => foreachBack(v, u2 => if (u2 != u) common(u2) = common.getOrElse(u2, 0) + 1))
-        out(u) = common.valuesIterator.map(c => choose2(c.toLong)).sum
-        u += 1
-      }
-      out
-    }
-    val cu = side(g.nU, (u, f) => g.foreachNbrU(u)(f), (v, f) => g.foreachNbrV(v)(f))
-    val cv = side(g.nV, (v, f) => g.foreachNbrV(v)(f), (u, f) => g.foreachNbrU(u)(f))
-    ButterflyCounts(cu, cv, 0L)
   }
 }

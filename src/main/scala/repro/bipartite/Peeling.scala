@@ -1,9 +1,7 @@
 package repro.bipartite
 
-import java.util.concurrent.{Callable, Executors}
 import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong, AtomicLongArray}
 import scala.collection.mutable.ArrayBuffer
-import scala.jdk.CollectionConverters._
 
 /** Unboxed binary min-heap of packed longs. Peeling kernels pack
   * `(support << IdBits) | vertexId` so the heap orders by support first
@@ -225,7 +223,7 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
   * and reused by every round; `close` shuts the pool down.
   */
 final class BatchUpdate(st: PeelState, threads: Int) extends AutoCloseable {
-  private val pool = Executors.newFixedThreadPool(threads)
+  private val pool = new WorkerPool(threads)
   private val scratchW = Array.fill(threads)(new Array[Int](st.g.nU))
   private val scratchT = Array.fill(threads)(new Array[Int](st.g.nU))
   private val touchedFlag = new Array[Boolean](st.g.nU)
@@ -238,24 +236,17 @@ final class BatchUpdate(st: PeelState, threads: Int) extends AutoCloseable {
     val wedges = new AtomicLong(0L)
     val perThreadTouched = Array.fill(threads)(new ArrayBuffer[Int]())
     val chunk = math.max(1, (n + threads - 1) / threads)
-    val tasks = (0 until threads).flatMap { t =>
-      val from = t * chunk; val until = math.min(n, from + chunk)
-      if (from >= until) None
-      else Some(new Callable[Unit] {
-        def call(): Unit = {
-          var w = 0L
-          var k = from
-          val buf = perThreadTouched(t)
-          while (k < until) {
-            w += st.update(batch(k), capFloor, scratchW(t), scratchT(t), (u2, _) => buf += u2)
-            k += 1
-          }
-          wedges.addAndGet(w)
-          ()
-        }
-      })
+    pool.run((n + chunk - 1) / chunk) { t =>
+      val until = math.min(n, (t + 1) * chunk)
+      var w = 0L
+      var k = t * chunk
+      val buf = perThreadTouched(t)
+      while (k < until) {
+        w += st.update(batch(k), capFloor, scratchW(t), scratchT(t), (u2, _) => buf += u2)
+        k += 1
+      }
+      wedges.addAndGet(w)
     }
-    pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
     val touched = new ArrayBuffer[Int]()
     perThreadTouched.foreach(_.foreach { u2 =>
       if (!touchedFlag(u2) && st.alive(u2)) { touchedFlag(u2) = true; touched += u2 }
@@ -264,5 +255,5 @@ final class BatchUpdate(st: PeelState, threads: Int) extends AutoCloseable {
     (wedges.get(), touched.toArray)
   }
 
-  def close(): Unit = pool.shutdown()
+  def close(): Unit = pool.close()
 }

@@ -1,7 +1,5 @@
 package repro.bipartite
 
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
-
 /** Shared-memory RECEIPT (algs. 3 + 4) — the paper's algorithm verbatim:
   *
   *  - **CD** partitions U into ≤ P+1 subsets of non-overlapping tip-number
@@ -14,7 +12,7 @@ import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
   *    computing updates and butterflies are re-counted on the live subgraph.
   *  - **DGM**: V-adjacency compaction amortized against traversed wedges
   *    (see [[PeelState.chargeWedges]]).
-  *  - **FD** peels each subset exactly with sequential [[BUP.peel]] on the
+  *  - **FD** peels each subset exactly with [[BUP.peelSubset]] on the
   *    subgraph induced by `(U_i, V)`, supports seeded from `⋈^init`;
   *    subsets are scheduled LPT-style (sorted by wedge-count proxy,
   *    descending) onto a dynamic task queue drained by `threads` workers.
@@ -246,47 +244,33 @@ object ReceiptLocal {
 
   // ---------------------------------------------------------------- FD ----
 
-  /** Alg. 4: dynamic task queue over subsets, LPT-ordered by the CD wedge
-    * proxy; each task induces the subgraph on `(U_i, V)` and runs exact
-    * sequential BUP seeded from `⋈^init`. Returns tips and FD wedges.
+  /** Alg. 4: one [[BUP.peelSubset]] task per subset, seeded from
+    * `⋈^init`, on a dynamic queue of `threads` workers in LPT order (largest
+    * CD wedge proxy first). Returns tips and FD wedges; a failed task fails
+    * the call.
     */
   def fineDecomposition(g: BipartiteGraph, cd: CDResult, cfg: Config): (Array[Long], Long) = {
-    val tips = Array.fill[Long](g.nU)(-1L)
-    val members = Array.fill(cd.subsets)(new scala.collection.mutable.ArrayBuffer[Int]())
-    var u = 0
-    while (u < g.nU) { if (cd.subsetOf(u) >= 0) members(cd.subsetOf(u)) += u; u += 1 }
-
-    // workload-aware scheduling: largest wedge proxy first
-    val order = (0 until cd.subsets).sortBy(i => -cd.subsetWedgeW(i)).toArray
-    val nextTask = new AtomicInteger(0)
-    val fdWedges = new AtomicLong(0L)
-    val tipsLock = new Object
-
-    val workers = (0 until math.max(1, cfg.threads)).map { _ =>
-      new Thread(() => {
-        var done = false
-        while (!done) {
-          val k = nextTask.getAndIncrement()
-          if (k >= order.length) done = true
-          else {
-            val i = order(k)
-            val ms = members(i).toArray
-            if (ms.nonEmpty) {
-              val aliveMask = new Array[Boolean](g.nU)
-              ms.foreach(aliveMask(_) = true)
-              val induced = g.filterU(aliveMask)
-              val r = BUP.peel(induced, cd.supInit, ms, enableDGM = cfg.enableDGM)
-              fdWedges.addAndGet(r.metrics.peelWedges)
-              tipsLock.synchronized {
-                ms.foreach(u0 => tips(u0) = r.tips(u0))
-              }
-            }
-          }
-        }
-      })
+    // bucket members and induced edges by subset; a pass over the CSR in u
+    // order yields both ascending
+    val nMem = new Array[Int](cd.subsets); val nEdge = new Array[Int](cd.subsets)
+    for (u <- 0 until g.nU) { nMem(cd.subsetOf(u)) += 1; nEdge(cd.subsetOf(u)) += g.degU(u) }
+    val members = nMem.map(new Array[Int](_)); val edges = nEdge.map(new Array[Long](_))
+    java.util.Arrays.fill(nMem, 0); java.util.Arrays.fill(nEdge, 0)
+    for (u <- 0 until g.nU) {
+      val i = cd.subsetOf(u)
+      members(i)(nMem(i)) = u; nMem(i) += 1
+      g.foreachNbrU(u) { v => edges(i)(nEdge(i)) = (u.toLong << 32) | v; nEdge(i) += 1 }
     }
-    workers.foreach(_.start())
-    workers.foreach(_.join())
-    (tips, fdWedges.get())
+    val tips = Array.fill[Long](g.nU)(-1L)
+    val wedges = new Array[Long](cd.subsets)
+    val order = (0 until cd.subsets).sortBy(i => -cd.subsetWedgeW(i)).toArray
+    WorkerPool.run(cfg.threads, order.length) { k =>
+      val i = order(k)
+      val ms = members(i)
+      val (t, w) = BUP.peelSubset(ms, ms.map(cd.supInit), edges(i), cfg.enableDGM)
+      for (j <- ms.indices) tips(ms(j)) = t(j)
+      wedges(i) = w
+    }
+    (tips, wedges.sum)
   }
 }

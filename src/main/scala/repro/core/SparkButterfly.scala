@@ -85,19 +85,4 @@ object SparkButterfly {
     w.unpersist()
     Result(cntU, cntV, wedgeRows)
   }
-
-  /** Naive pair-join counts for the U side — `(u, cnt)`, non-zero rows only.
-    * O(Σ_v d_v²) shuffle; exists as an oracle (mirrors the DuckDB SQL used
-    * in tests), not for production use on hubby graphs.
-    */
-  def naiveCountsU(edges: DataFrame): DataFrame = {
-    val e1 = edges.select(col("u") as "u1", col("v"))
-    val e2 = edges.select(col("u") as "u2", col("v"))
-    val pairs = e1.join(e2, "v").where(col("u1") < col("u2"))
-      .groupBy("u1", "u2").agg(count(lit(1)) as "c")
-      .where(col("c") >= 2)
-    pairs.select(col("u1") as "u", (col("c") * (col("c") - 1) / 2) as "b")
-      .union(pairs.select(col("u2") as "u", (col("c") * (col("c") - 1) / 2) as "b"))
-      .groupBy("u").agg(sum("b") as "cnt")
-  }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.bipartite.{BipartiteGraph, BUP, PeelState, ReceiptLocal}
+import repro.bipartite.{BUP, PeelState, ReceiptLocal}
 
 /** RECEIPT as a Spark dataflow.
   *
@@ -28,9 +28,10 @@ import repro.bipartite.{BipartiteGraph, BUP, PeelState, ReceiptLocal}
   *    the Chiba–Nishizeki re-count bound, the round instead re-counts
   *    butterflies with [[SparkButterfly]] on the live edge set.
   *  - **FD subset → one `flatMapGroups` task.** Each subset's induced
-  *    subgraph is grouped to a single task that runs the *exact* sequential
-  *    peel ([[BUP.peel]]) seeded from `⋈^init` — the paper's
-  *    one-thread-per-subset task queue, scheduled by Spark.
+  *    edges are grouped to a single task that runs the same exact subset
+  *    peel as the shared-memory engine ([[BUP.peelSubset]]) seeded from
+  *    `⋈^init` — the paper's one-thread-per-subset task queue, scheduled by
+  *    Spark.
   */
 object SparkReceipt {
 
@@ -82,46 +83,26 @@ object SparkReceipt {
 
     val fdRows = induced
       .groupByKey(_._1)
-      .flatMapGroups { (subset, rows) => peelSubsetTask(subset, rows) }
+      .flatMapGroups((_, rows) => peelSubsetTask(rows))
       .collect()
 
-    val tips = Array.fill[Long](nU)(-1L)
-    var fdWedges = 0L
-    fdRows.foreach { case (u, tip, wRow) =>
-      if (u >= 0) tips(u.toInt) = tip
-      fdWedges += wRow
-    }
-    // degree-0 vertices of U never reach the FD dataflow: their subset is
-    // known and their tip number is their (zero) support.
-    var u3 = 0
-    while (u3 < nU) {
-      if (tips(u3) < 0 && cd.subsetOf(u3) >= 0 && g.degU(u3) == 0) tips(u3) = cd.supInit(u3)
-      u3 += 1
-    }
-    ReceiptLocal.result(tips, cd, fdWedges, fdTimeMs = (System.nanoTime() - tCd1) / 1e6)
+    // degree-0 vertices never reach the FD dataflow; their tip is their (zero) support
+    val tips = Array.tabulate(nU)(u => if (g.degU(u) == 0) cd.supInit(u) else -1L)
+    fdRows.foreach { case (u, tip, _) => tips(u.toInt) = tip }
+    ReceiptLocal.result(tips, cd, fdRows.map(_._3).sum, fdTimeMs = (System.nanoTime() - tCd1) / 1e6)
   }
 
-  /** FD executor task: exact sequential BUP on one subset's induced
-    * subgraph, supports seeded from `⋈^init`. Emits `(u, θ_u, wedgeShare)`
-    * rows where the subset's FD wedge count rides on the first row.
+  /** FD executor task: [[BUP.peelSubset]] on one subset's rows
+    * `(subset, u, v, ⋈^init_u)`, one per induced edge. Emits `(u, θ_u,
+    * wedgeShare)` rows; the subset's FD wedge count rides on the first.
     */
-  private def peelSubsetTask(subset: Int, rows: Iterator[(Int, Long, Long, Long)]): Iterator[(Long, Long, Long)] = {
+  private def peelSubsetTask(rows: Iterator[(Int, Long, Long, Long)]): Iterator[(Long, Long, Long)] = {
     val buf = rows.toArray
-    if (buf.isEmpty) Iterator.empty
-    else {
-      val us = buf.map(_._2).distinct.sorted
-      val vs = buf.map(_._3).distinct.sorted
-      val uIdx = us.zipWithIndex.toMap
-      val vIdx = vs.zipWithIndex.toMap
-      val g = BipartiteGraph.fromEdges(us.length, vs.length,
-        buf.map(r => (uIdx(r._2), vIdx(r._3))).toSeq)
-      val init = new Array[Long](us.length)
-      buf.foreach(r => init(uIdx(r._2)) = r._4)
-      val members = Array.tabulate(us.length)(identity)
-      val r = BUP.peel(g, init, members, enableDGM = true)
-      members.iterator.map { lu =>
-        (us(lu), r.tips(lu), if (lu == 0) r.metrics.peelWedges else 0L)
-      }
-    }
+    val edges = buf.map(r => (r._2 << 32) | r._3).sorted
+    val members = edges.iterator.map(e => (e >>> 32).toInt).distinct.toArray
+    val init = new Array[Long](members.length)
+    buf.foreach(r => init(java.util.Arrays.binarySearch(members, r._2.toInt)) = r._4)
+    val (tips, wedges) = BUP.peelSubset(members, init, edges, enableDGM = true)
+    members.indices.iterator.map(k => (members(k).toLong, tips(k), if (k == 0) wedges else 0L))
   }
 }

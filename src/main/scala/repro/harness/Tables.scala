@@ -133,18 +133,4 @@ object Tables {
       rhoReceiptSpark = sparkRho
     )
   }
-
-  /** Analytic shape statistics used to sanity-check dataset calibration:
-    * `r = Λ^peel / Λ^cnt` — the paper's predictor of HUC benefit.
-    */
-  final case class ShapeStats(name: String, m: Int, peelU: Long, peelV: Long,
-                              cnt: Long, rU: Double, rV: Double)
-
-  def shapeStats(cfg: DatasetConfig): ShapeStats = {
-    val g = BipartiteGen.generate(cfg)
-    val cnt = g.countCost
-    val peelU = g.peelCostU.sum
-    val peelV = g.transpose.peelCostU.sum
-    ShapeStats(cfg.name, g.m, peelU, peelV, cnt, peelU.toDouble / cnt, peelV.toDouble / cnt)
-  }
 }

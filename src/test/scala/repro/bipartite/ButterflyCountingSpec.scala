@@ -1,6 +1,7 @@
 package repro.bipartite
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.ReferenceCounts
 
 class ButterflyCountingSpec extends AnyFunSuite {
 
@@ -64,7 +65,7 @@ class ButterflyCountingSpec extends AnyFunSuite {
       val nV = 8 + seed * 2
       val g = BipartiteGraph.random(nU, nV, 6 * (nU + nV), seed)
       val fast = ButterflyCounting.vertexPriority(g)
-      val slow = ButterflyCounting.bruteForce(g)
+      val slow = ReferenceCounts.bruteForce(g)
       assertSame(fast.cntU, slow.cntU, s"U seed=$seed")
       assertSame(fast.cntV, slow.cntV, s"V seed=$seed")
     }
@@ -79,7 +80,7 @@ class ButterflyCountingSpec extends AnyFunSuite {
       }
       val g = BipartiteGraph.fromEdges(120, 40, es)
       val fast = ButterflyCounting.vertexPriority(g)
-      val slow = ButterflyCounting.bruteForce(g)
+      val slow = ReferenceCounts.bruteForce(g)
       assertSame(fast.cntU, slow.cntU, s"skewed U seed=$seed")
       assertSame(fast.cntV, slow.cntV, s"skewed V seed=$seed")
     }

@@ -1,11 +1,23 @@
 package repro.bipartite
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.ReferenceCounts
 
 class ReceiptLocalSpec extends AnyFunSuite {
 
   private def cfg(p: Int, huc: Boolean = true, dgm: Boolean = true, t: Int = 4) =
     ReceiptLocal.Config(P = p, threads = t, enableHUC = huc, enableDGM = dgm)
+
+  /** A hub graph: 80% of its edges land on 4 of its 100 V vertices. */
+  private def hubGraph(seed: Long): BipartiteGraph = {
+    val rnd = new java.util.Random(seed)
+    // few V hubs with huge degree => peel cost >> count cost => HUC triggers
+    val es = (0 until 3000).map { _ =>
+      val v = if (rnd.nextDouble() < 0.8) rnd.nextInt(4) else 4 + rnd.nextInt(96)
+      (rnd.nextInt(400), v)
+    }
+    BipartiteGraph.fromEdges(400, 100, es)
+  }
 
   for (seed <- 0 until 15)
     test(s"RECEIPT tips equal BUP tips (seed=$seed, P=4)") {
@@ -40,13 +52,7 @@ class ReceiptLocalSpec extends AnyFunSuite {
 
   test("RECEIPT on skewed hub graphs equals BUP (HUC territory)") {
     for (seed <- 0 until 5) {
-      val rnd = new java.util.Random(seed)
-      // few V hubs with huge degree => peel cost >> count cost => HUC triggers
-      val es = (0 until 3000).map { _ =>
-        val v = if (rnd.nextDouble() < 0.8) rnd.nextInt(4) else 4 + rnd.nextInt(96)
-        (rnd.nextInt(400), v)
-      }
-      val g = BipartiteGraph.fromEdges(400, 100, es)
+      val g = hubGraph(seed)
       val bup = BUP.run(g).tips
       val rec = ReceiptLocal.run(g, cfg(5))
       assert(rec.tips.toSeq == bup.toSeq, s"seed=$seed")
@@ -104,7 +110,7 @@ class ReceiptLocalSpec extends AnyFunSuite {
     for (u <- 0 until g.nU) {
       val i = cd.subsetOf(u)
       val mask = Array.tabulate(g.nU)(x => cd.subsetOf(x) >= i)
-      val live = ButterflyCounting.bruteForce(g.filterU(mask))
+      val live = ReferenceCounts.bruteForce(g.filterU(mask))
       assert(cd.supInit(u) == live.cntU(u),
         s"u=$u subset=$i supInit=${cd.supInit(u)} expected=${live.cntU(u)}")
     }
@@ -148,7 +154,33 @@ class ReceiptLocalSpec extends AnyFunSuite {
     assert(ReceiptLocal.run(BipartiteGraph.complete(3, 3), cfg(3)).tips.forall(_ == 6L))
     val star = BipartiteGraph.fromEdges(5, 1, (0 until 5).map(u => (u, 0)))
     assert(ReceiptLocal.run(star, cfg(3)).tips.forall(_ == 0L))
+    // K_{3,3} on the odd U vertices; the even ones are isolated
+    val sparse = BipartiteGraph.fromEdges(7, 3, for (u <- Seq(1, 3, 5); v <- 0 until 3) yield (u, v))
+    assert(ReceiptLocal.run(sparse, cfg(3)).tips.toSeq == Seq(0L, 6L, 0L, 6L, 0L, 6L, 0L))
   }
+
+  test("FD rethrows a failing task instead of returning unset tips") {
+    val g = BipartiteGraph.random(200, 150, 3000, seed = 41)
+    val cd = ReceiptLocal.coarseDecomposition(g, cfg(8))
+    intercept[ArrayIndexOutOfBoundsException] {
+      ReceiptLocal.fineDecomposition(g, cd.copy(supInit = cd.supInit.take(10)), cfg(8))
+    }
+  }
+
+  for (dgm <- Seq(false, true))
+    test(s"the FD subset task on compact ids equals BUP.peel on the induced graph (DGM=$dgm)") {
+      for (g <- Seq(BipartiteGraph.random(300, 200, 5000, seed = 7), hubGraph(3))) {
+        val cd = ReceiptLocal.coarseDecomposition(g, cfg(5, dgm = dgm))
+        for (i <- 0 until cd.subsets) {
+          val members = (0 until g.nU).filter(cd.subsetOf(_) == i).toArray
+          val induced = g.filterU(Array.tabulate(g.nU)(cd.subsetOf(_) == i))
+          val ref = BUP.peel(induced, cd.supInit, members, enableDGM = dgm)
+          val (tips, wedges) = BUP.peelSubset(members, members.map(cd.supInit), induced.packedEdges, dgm)
+          assert(tips.toSeq == members.toSeq.map(ref.tips), s"subset $i")
+          assert(wedges == ref.metrics.peelWedges, s"subset $i")
+        }
+      }
+    }
 
   test("P=1 degenerates to a single coarse subset peeled exactly by FD") {
     val g = BipartiteGraph.random(60, 40, 500, seed = 43)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{BipartiteGen, Oracle, SparkSpec}
+import repro.{BipartiteGen, Oracle, ReferenceCounts, SparkSpec}
 import repro.bipartite.{BipartiteGraph, ButterflyCounting}
 
 class SparkButterflySpec extends SparkSpec {
@@ -41,7 +41,7 @@ class SparkButterflySpec extends SparkSpec {
   test("naive pair-join counts match DuckDB oracle") {
     val (_, df) = BipartiteGen.randomWithDF(spark, 25, 18, 120, seed = 9)
     Oracle.assertEquivalent(
-      SparkButterfly.naiveCountsU(df).select(col("u"), col("cnt").cast("long") as "cnt"),
+      ReferenceCounts.naiveCountsU(df).select(col("u"), col("cnt").cast("long") as "cnt"),
       duckSql, "edges" -> df)
   }
 
