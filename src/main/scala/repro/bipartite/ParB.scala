@@ -19,19 +19,36 @@ object ParB {
 
     val st = new PeelState(g, enableDGM = false)
     st.setSupports(counts.cntU)
-
-    val heap = new LongMinHeap(g.nU + 16)
-    var u = 0
-    while (u < g.nU) { heap.push(pack(counts.cntU(u), u)); u += 1 }
-
-    val tips = Array.fill[Long](g.nU)(-1L)
-    var remaining = g.nU
-    var rounds = 0L
-    var peelWedges = 0L
     val update = new BatchUpdate(st, threads)
-    val batch = new Array[Int](g.nU)
+    val r = try peel(st, update(_, _), _ => true) finally update.close()
+    val t2 = System.nanoTime()
+    TipResult(
+      r.tips,
+      PeelMetrics(counts.wedges, r.metrics.peelWedges, r.metrics.rounds, (t1 - t0) / 1e6, (t2 - t1) / 1e6)
+    )
+  }
 
-    try while (remaining > 0) {
+  /** The min-support batch loop, on any substrate (threads here, Spark jobs
+    * in [[repro.core.SparkParB]]). While a vertex of `st` is live and
+    * `more(rounds so far)` holds, each round marks every live vertex at the
+    * minimum support `s` peeled with tip `s`, then has `round(batch, s)`
+    * apply the batch's decrements capped at `s`; `round` returns the wedges
+    * traversed and the distinct live vertices whose support changed.
+    * Returns tips (-1 for vertices not reached), peel wedges and rounds;
+    * timing is the caller's.
+    */
+  def peel(st: PeelState, round: (Array[Int], Long) => (Long, Array[Int]),
+           more: Long => Boolean): TipResult = {
+    val nU = st.g.nU
+    val heap = new LongMinHeap(st.aliveCount + 16)
+    var u = 0
+    while (u < nU) { if (st.alive(u)) heap.push(pack(st.sup.get(u), u)); u += 1 }
+
+    val tips = Array.fill[Long](nU)(-1L)
+    val buf = new Array[Int](nU)
+    var rounds = 0L
+    var wedges = 0L
+    while (st.aliveCount > 0 && more(rounds)) {
       // gather the batch: all live vertices at the current minimum support
       // Supports only decrease and a vertex is re-pushed exactly when its
       // support changes, so at most one entry per vertex matches its live
@@ -46,25 +63,20 @@ object ParB {
         if (!st.alive(cand) || st.sup.get(cand) != cSup) { heap.pop(); () } // stale
         else if (minSup < 0 || cSup == minSup) {
           if (minSup < 0) minSup = cSup
-          heap.pop(); batch(nB) = cand; nB += 1
+          heap.pop(); buf(nB) = cand; nB += 1
         } else gathering = false
       }
       require(nB > 0, "heap exhausted with vertices remaining")
-      var i = 0
-      while (i < nB) { tips(batch(i)) = minSup; st.markPeeled(batch(i)); i += 1 }
-      remaining -= nB
+      val batch = java.util.Arrays.copyOf(buf, nB)
+      batch.foreach { b => tips(b) = minSup; st.markPeeled(b) }
 
-      // parallel update with a barrier per round; push each distinct
-      // updated vertex once with its settled support
-      val (w, touched) = update(batch, nB, minSup)
-      peelWedges += w
+      // one synchronization round; push each distinct updated vertex once
+      // with its settled support
+      val (w, touched) = round(batch, minSup)
+      wedges += w
       touched.foreach(u2 => heap.push(pack(st.sup.get(u2), u2)))
       rounds += 1
-    } finally update.close()
-    val t2 = System.nanoTime()
-    TipResult(
-      tips,
-      PeelMetrics(counts.wedges, peelWedges, rounds, (t1 - t0) / 1e6, (t2 - t1) / 1e6)
-    )
+    }
+    TipResult(tips, PeelMetrics(0L, wedges, rounds, 0.0, 0.0))
   }
 }

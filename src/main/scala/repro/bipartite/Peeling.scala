@@ -1,6 +1,6 @@
 package repro.bipartite
 
-import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong, AtomicLongArray}
+import java.util.concurrent.atomic.{AtomicLong, AtomicLongArray}
 import scala.collection.mutable.ArrayBuffer
 
 /** Unboxed binary min-heap of packed longs. Peeling kernels pack
@@ -63,11 +63,11 @@ object Peeling {
 /** Mutable peeling state over a [[BipartiteGraph]]:
   *
   *  - `alive` flags and atomic supports for the U side;
-  *  - the V-side adjacency as growable-free array-of-arrays so DGM (dynamic
-  *    graph maintenance, §4.2) can periodically compact out edges to peeled
-  *    vertices. Wedge-traversal metering charges the *stored* list length
-  *    (`vLen`), so running without DGM pays for stale entries exactly as the
-  *    paper describes;
+  *  - a copy of the V-side CSR adjacency, whose lists DGM (dynamic graph
+  *    maintenance, §4.2) periodically compacts in place, each within its own
+  *    `vOff` slice, to drop edges to peeled vertices. Wedge-traversal
+  *    metering charges the *stored* list length (`vLen`), so running without
+  *    DGM pays for stale entries exactly as the paper describes;
   *  - the `update(u, …)` routine of alg. 2: aggregate wedges `u–v–u'` into a
   *    scratch array, convert each aggregated count `c` into `C(c, 2)` shared
   *    butterflies, and apply capped atomic decrements
@@ -87,16 +87,15 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
   val sup: AtomicLongArray  = new AtomicLongArray(g.nU)
   /** Live U-degree of each v (excludes peeled vertices); used for HUC cost
     * estimates. Stored-list length `vLen` is the actual traversal cost.
+    * Written only by [[markPeeled]], in sequential sections.
     */
-  val curDegV: AtomicIntegerArray = {
-    val a = new AtomicIntegerArray(g.nV)
+  val curDegV: Array[Int] = new Array[Int](g.nV)
+  private val vLen: Array[Int] = new Array[Int](g.nV)
+  private val vAdj: Array[Int] = g.vAdj.clone()
+  locally {
     var v = 0
-    while (v < g.nV) { a.set(v, g.degV(v)); v += 1 }
-    a
+    while (v < g.nV) { curDegV(v) = g.degV(v); vLen(v) = g.degV(v); v += 1 }
   }
-  private val vAdj: Array[Array[Int]] =
-    Array.tabulate(g.nV)(v => java.util.Arrays.copyOfRange(g.vAdj, g.vOff(v), g.vOff(v + 1)))
-  private val vLen: Array[Int] = Array.tabulate(g.nV)(v => g.degV(v))
 
   var aliveCount: Int = g.nU
   private var wedgesSinceCompact = 0L
@@ -116,7 +115,7 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
   /** Live traversal cost of peeling `u` now: Σ_{v∈N_u} curDeg_v. */
   def livePeelCost(u: Int): Long = {
     var s = 0L
-    g.foreachNbrU(u)(v => s += curDegV.get(v))
+    g.foreachNbrU(u)(v => s += curDegV(v))
     s
   }
 
@@ -128,7 +127,7 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
     while (u < g.nU) {
       if (alive(u)) {
         val du = g.degU(u)
-        g.foreachNbrU(u)(v => s += math.min(du, curDegV.get(v)))
+        g.foreachNbrU(u)(v => s += math.min(du, curDegV(v)))
       }
       u += 1
     }
@@ -142,7 +141,7 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
   def markPeeled(u: Int): Unit = {
     alive(u) = false
     aliveCount -= 1
-    g.foreachNbrU(u)(v => { curDegV.decrementAndGet(v); () })
+    g.foreachNbrU(u)(v => curDegV(v) -= 1)
   }
 
   /** Alg. 2 `update` for peeled vertex `u`. Returns wedges traversed.
@@ -156,11 +155,11 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
     var wedges = 0L
     var nT = 0
     g.foreachNbrU(u) { v =>
-      val arr = vAdj(v); val len = vLen(v)
-      wedges += len
-      var i = 0
-      while (i < len) {
-        val u2 = arr(i)
+      val off = g.vOff(v); val end = off + vLen(v)
+      wedges += vLen(v)
+      var i = off
+      while (i < end) {
+        val u2 = vAdj(i)
         if (u2 != u && alive(u2)) {
           if (wdg(u2) == 0) { touched(nT) = u2; nT += 1 }
           wdg(u2) += 1
@@ -203,14 +202,14 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
   private def compact(): Unit = {
     var v = 0
     while (v < g.nV) {
-      val arr = vAdj(v); val len = vLen(v)
-      var w = 0; var i = 0
-      while (i < len) {
-        val u2 = arr(i)
-        if (alive(u2)) { arr(w) = u2; w += 1 }
+      val off = g.vOff(v); val end = off + vLen(v)
+      var w = off; var i = off
+      while (i < end) {
+        val u2 = vAdj(i)
+        if (alive(u2)) { vAdj(w) = u2; w += 1 }
         i += 1
       }
-      vLen(v) = w
+      vLen(v) = w - off
       v += 1
     }
   }
@@ -228,11 +227,12 @@ final class BatchUpdate(st: PeelState, threads: Int) extends AutoCloseable {
   private val scratchT = Array.fill(threads)(new Array[Int](st.g.nU))
   private val touchedFlag = new Array[Boolean](st.g.nU)
 
-  /** Updates for `batch(0 until n)`, already marked peeled, with decrements
-    * capped at `capFloor`. Returns the wedges traversed and the distinct
-    * live vertices whose support changed.
+  /** Updates for `batch`, already marked peeled, with decrements capped at
+    * `capFloor`. Returns the wedges traversed and the distinct live vertices
+    * whose support changed.
     */
-  def apply(batch: Array[Int], n: Int, capFloor: Long): (Long, Array[Int]) = {
+  def apply(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = {
+    val n = batch.length
     val wedges = new AtomicLong(0L)
     val perThreadTouched = Array.fill(threads)(new ArrayBuffer[Int]())
     val chunk = math.max(1, (n + threads - 1) / threads)

@@ -14,8 +14,8 @@ package repro.bipartite
   *    (see [[PeelState.chargeWedges]]).
   *  - **FD** peels each subset exactly with [[BUP.peelSubset]] on the
   *    subgraph induced by `(U_i, V)`, supports seeded from `⋈^init`;
-  *    subsets are scheduled LPT-style (sorted by wedge-count proxy,
-  *    descending) onto a dynamic task queue drained by `threads` workers.
+  *    the task list ([[fdTasks]]) is in LPT order (wedge-count proxy,
+  *    descending), drained by a dynamic queue of `threads` workers.
   */
 object ReceiptLocal {
 
@@ -116,8 +116,7 @@ object ReceiptLocal {
     val update = new BatchUpdate(st, cfg.threads)
     val rounds = new CDRounds {
       def peelCost(u: Int): Long = st.storedPeelCost(u) // stale until DGM compacts
-      def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) =
-        update(batch, batch.length, capFloor)
+      def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = update(batch, capFloor)
       def recount(removed: Array[Int]): (Array[Long], Long) = {
         val rc = ButterflyCounting.vertexPriority(g.filterU(st.alive), cfg.threads)
         (rc.cntU, rc.wedges)
@@ -244,14 +243,19 @@ object ReceiptLocal {
 
   // ---------------------------------------------------------------- FD ----
 
-  /** Alg. 4: one [[BUP.peelSubset]] task per subset, seeded from
-    * `⋈^init`, on a dynamic queue of `threads` workers in LPT order (largest
-    * CD wedge proxy first). Returns tips and FD wedges; a failed task fails
-    * the call.
+  /** One FD task of alg. 4: a subset's members (ascending), their
+    * `⋈^init` (aligned with `members`) and its induced edges `(u << 32) | v`
+    * (ascending); [[peel]] runs [[BUP.peelSubset]] on them.
     */
-  def fineDecomposition(g: BipartiteGraph, cd: CDResult, cfg: Config): (Array[Long], Long) = {
-    // bucket members and induced edges by subset; a pass over the CSR in u
-    // order yields both ascending
+  final case class FDTask(members: Array[Int], initSup: Array[Long], edges: Array[Long]) {
+    def peel(enableDGM: Boolean): (Array[Long], Long) = BUP.peelSubset(members, initSup, edges, enableDGM)
+  }
+
+  /** Every CD subset's [[FDTask]], in LPT order (largest CD wedge proxy
+    * first), from one O(nU + m) pass over the CSR in u order, which yields
+    * members and edges ascending.
+    */
+  def fdTasks(g: BipartiteGraph, cd: CDResult): Array[FDTask] = {
     val nMem = new Array[Int](cd.subsets); val nEdge = new Array[Int](cd.subsets)
     for (u <- 0 until g.nU) { nMem(cd.subsetOf(u)) += 1; nEdge(cd.subsetOf(u)) += g.degU(u) }
     val members = nMem.map(new Array[Int](_)); val edges = nEdge.map(new Array[Long](_))
@@ -261,16 +265,31 @@ object ReceiptLocal {
       members(i)(nMem(i)) = u; nMem(i) += 1
       g.foreachNbrU(u) { v => edges(i)(nEdge(i)) = (u.toLong << 32) | v; nEdge(i) += 1 }
     }
-    val tips = Array.fill[Long](g.nU)(-1L)
-    val wedges = new Array[Long](cd.subsets)
-    val order = (0 until cd.subsets).sortBy(i => -cd.subsetWedgeW(i)).toArray
-    WorkerPool.run(cfg.threads, order.length) { k =>
-      val i = order(k)
-      val ms = members(i)
-      val (t, w) = BUP.peelSubset(ms, ms.map(cd.supInit), edges(i), cfg.enableDGM)
-      for (j <- ms.indices) tips(ms(j)) = t(j)
-      wedges(i) = w
+    (0 until cd.subsets).sortBy(i => -cd.subsetWedgeW(i)).iterator
+      .map(i => FDTask(members(i), members(i).map(cd.supInit), edges(i))).toArray
+  }
+
+  /** Alg. 4 on the shared-memory substrate: the [[fdTasks]] on a dynamic
+    * queue of `threads` workers. Returns tips and FD wedges; a failed task
+    * fails the call.
+    */
+  def fineDecomposition(g: BipartiteGraph, cd: CDResult, cfg: Config): (Array[Long], Long) =
+    fineDecomposition(g, cd) { tasks =>
+      val out = new Array[(Array[Long], Long)](tasks.length)
+      WorkerPool.run(cfg.threads, tasks.length)(k => out(k) = tasks(k).peel(cfg.enableDGM))
+      out
     }
-    (tips, wedges.sum)
+
+  /** Alg. 4 on any substrate: builds the [[fdTasks]], has `runTasks` return
+    * each task's `(tips, wedges)` in task order, and returns every vertex's
+    * tip and the FD wedges.
+    */
+  def fineDecomposition(g: BipartiteGraph, cd: CDResult)(
+      runTasks: Array[FDTask] => Array[(Array[Long], Long)]): (Array[Long], Long) = {
+    val tasks = fdTasks(g, cd)
+    val results = runTasks(tasks)
+    val tips = Array.fill[Long](g.nU)(-1L)
+    for (k <- tasks.indices; j <- tasks(k).members.indices) tips(tasks(k).members(j)) = results(k)._1(j)
+    (tips, results.map(_._2).sum)
   }
 }

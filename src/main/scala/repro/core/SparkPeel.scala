@@ -6,9 +6,9 @@ import org.apache.spark.sql.functions._
 import repro.bipartite.PeelState
 
 /** Batch-peeling building blocks shared by the dataflow engines
-  * ([[SparkReceipt]] CD rounds and [[SparkParB]] rounds): one round is one
-  * wedge-join update query over the live edge set, followed by an anti-join
-  * that removes the peeled vertices' edges.
+  * ([[SparkReceipt]] CD rounds and [[SparkParB]] rounds): one round
+  * ([[peelRound]]) is one wedge-join update query over the live edge set,
+  * followed by an anti-join that removes the peeled vertices' edges.
   */
 object SparkPeel {
 
@@ -41,17 +41,19 @@ object SparkPeel {
     spark.createDataset(us.map(_.toLong).toSeq).toDF("u")
   }
 
-  /** One peel round, as one Spark job: joins the `peeled` vertices' edges
-    * with the `live` edges to generate every wedge `u–v–u'`, aggregates by
-    * `(u, u')` into shared-butterfly decrements `C(c,2)` and by `u'` into one
-    * combined update, then applies `⋈_{u'} ← max(capFloor, ⋈_{u'} − dec)` to
-    * the driver-side supports of `st` (the batch is already marked peeled).
-    * Returns the wedges traversed and the distinct live vertices whose
-    * support changed.
+  /** One peel round of `batch` (already marked peeled in `st`), as one
+    * Spark job: joins the batch's edges with the live edges to generate
+    * every wedge `u–v–u'`, aggregates by `(u, u')` into shared-butterfly
+    * decrements `C(c,2)` and by `u'` into one combined update, then applies
+    * `⋈_{u'} ← max(capFloor, ⋈_{u'} − dec)` to the driver-side supports of
+    * `st` and drops the batch from `live`. Returns the wedges traversed and
+    * the distinct live vertices whose support changed.
     */
-  def peelRound(st: PeelState, live: DataFrame, peeled: DataFrame, capFloor: Long): (Long, Array[Int]) = {
-    val updates = live.join(peeled, "u").select(col("u") as "pu", col("v"))
-      .join(live.select(col("u") as "u2", col("v")), "v")
+  def peelRound(st: PeelState, live: LiveEdges, batch: Array[Int], capFloor: Long): (Long, Array[Int]) = {
+    val peeled = vertexSet(live.edges0.sparkSession, batch)
+    val edges = live.cur
+    val updates = edges.join(peeled, "u").select(col("u") as "pu", col("v"))
+      .join(edges.select(col("u") as "u2", col("v")), "v")
       .where(col("u2") =!= col("pu"))
       .groupBy("pu", "u2").agg(count(lit(1)) as "c")
       .groupBy("u2")
@@ -69,6 +71,7 @@ object SparkPeel {
         if (next != cur) { st.sup.set(u2, next); touched += u2 }
       }
     }
+    live.drop(peeled)
     (wedges, touched.toArray)
   }
 

@@ -1,8 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.bipartite.{BUP, PeelState, ReceiptLocal}
+import repro.bipartite.{PeelState, ReceiptLocal}
 
 /** RECEIPT as a Spark dataflow.
   *
@@ -27,11 +26,12 @@ import repro.bipartite.{BUP, PeelState, ReceiptLocal}
   *  - **HUC**: when the live peel cost `Σ_{u∈active} Σ_{v∈N_u} d_v` exceeds
   *    the Chiba–Nishizeki re-count bound, the round instead re-counts
   *    butterflies with [[SparkButterfly]] on the live edge set.
-  *  - **FD subset → one `flatMapGroups` task.** Each subset's induced
-  *    edges are grouped to a single task that runs the same exact subset
-  *    peel as the shared-memory engine ([[BUP.peelSubset]]) seeded from
-  *    `⋈^init` — the paper's one-thread-per-subset task queue, scheduled by
-  *    Spark.
+  *  - **FD subset → one Spark task.** The driver builds the same task
+  *    list as the shared-memory engine ([[ReceiptLocal.fdTasks]]: members,
+  *    `⋈^init` and induced edges per subset, LPT order) and parallelizes it
+  *    one task per partition; each runs the same exact subset peel
+  *    ([[repro.bipartite.BUP.peelSubset]]) — the paper's one-thread-per-subset
+  *    task queue, scheduled by Spark.
   */
 object SparkReceipt {
 
@@ -42,9 +42,7 @@ object SparkReceipt {
 
   def run(spark: SparkSession, edgesIn: DataFrame, nU: Int, nV: Int,
           cfg: Config = Config()): Result = SparkPeel.withLiveEdges(spark, edgesIn) { live =>
-    import spark.implicits._
-
-    // Driver-side skeleton: adjacency for cost estimates and FD membership.
+    // Driver-side skeleton: adjacency for cost estimates and the FD task list.
     val g = BipartiteDF.toLocal(live.edges0, nU, nV)
     val st = new PeelState(g, enableDGM = false) // bookkeeping only
 
@@ -57,12 +55,8 @@ object SparkReceipt {
     // ---- Coarse-grained Decomposition: the shared alg. 3 driver ----
     val rounds = new ReceiptLocal.CDRounds {
       def peelCost(u: Int): Long = st.livePeelCost(u) // DGM is structural here
-      def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = {
-        val peeled = SparkPeel.vertexSet(spark, batch)
-        val r = SparkPeel.peelRound(st, live.cur, peeled, capFloor)
-        live.drop(peeled)
-        r
-      }
+      def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) =
+        SparkPeel.peelRound(st, live, batch, capFloor)
       def recount(removed: Array[Int]): (Array[Long], Long) = {
         live.drop(SparkPeel.vertexSet(spark, removed))
         val rc = SparkButterfly.perVertex(spark, live.cur, nU, nV)
@@ -72,37 +66,11 @@ object SparkReceipt {
     val cd = ReceiptLocal.coarseDecomposition(st, cfg.P, cfg.enableHUC, counts.wedgeRows, cntTimeMs, rounds)
     val tCd1 = System.nanoTime()
 
-    // ---- Fine-grained Decomposition ----
-    val assign = (0 until nU).collect {
-      case u if cd.subsetOf(u) >= 0 => (u.toLong, cd.subsetOf(u), cd.supInit(u))
+    // ---- Fine-grained Decomposition: one Spark task per subset ----
+    val (tips, fdWedges) = ReceiptLocal.fineDecomposition(g, cd) { tasks =>
+      spark.sparkContext.parallelize(tasks.toSeq, math.max(1, tasks.length))
+        .map(_.peel(enableDGM = true)).collect()
     }
-    val assignDF = spark.createDataset(assign.toSeq).toDF("u", "subset", "supInit")
-    val induced = live.edges0.join(assignDF, "u")
-      .select(col("subset").cast("int") as "subset", col("u"), col("v"), col("supInit"))
-      .as[(Int, Long, Long, Long)]
-
-    val fdRows = induced
-      .groupByKey(_._1)
-      .flatMapGroups((_, rows) => peelSubsetTask(rows))
-      .collect()
-
-    // degree-0 vertices never reach the FD dataflow; their tip is their (zero) support
-    val tips = Array.tabulate(nU)(u => if (g.degU(u) == 0) cd.supInit(u) else -1L)
-    fdRows.foreach { case (u, tip, _) => tips(u.toInt) = tip }
-    ReceiptLocal.result(tips, cd, fdRows.map(_._3).sum, fdTimeMs = (System.nanoTime() - tCd1) / 1e6)
-  }
-
-  /** FD executor task: [[BUP.peelSubset]] on one subset's rows
-    * `(subset, u, v, ⋈^init_u)`, one per induced edge. Emits `(u, θ_u,
-    * wedgeShare)` rows; the subset's FD wedge count rides on the first.
-    */
-  private def peelSubsetTask(rows: Iterator[(Int, Long, Long, Long)]): Iterator[(Long, Long, Long)] = {
-    val buf = rows.toArray
-    val edges = buf.map(r => (r._2 << 32) | r._3).sorted
-    val members = edges.iterator.map(e => (e >>> 32).toInt).distinct.toArray
-    val init = new Array[Long](members.length)
-    buf.foreach(r => init(java.util.Arrays.binarySearch(members, r._2.toInt)) = r._4)
-    val (tips, wedges) = BUP.peelSubset(members, init, edges, enableDGM = true)
-    members.indices.iterator.map(k => (members(k).toLong, tips(k), if (k == 0) wedges else 0L))
+    ReceiptLocal.result(tips, cd, fdWedges, fdTimeMs = (System.nanoTime() - tCd1) / 1e6)
   }
 }

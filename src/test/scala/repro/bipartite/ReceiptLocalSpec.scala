@@ -171,11 +171,19 @@ class ReceiptLocalSpec extends AnyFunSuite {
     test(s"the FD subset task on compact ids equals BUP.peel on the induced graph (DGM=$dgm)") {
       for (g <- Seq(BipartiteGraph.random(300, 200, 5000, seed = 7), hubGraph(3))) {
         val cd = ReceiptLocal.coarseDecomposition(g, cfg(5, dgm = dgm))
-        for (i <- 0 until cd.subsets) {
+        // the task list: one task per subset, largest wedge proxy first
+        val tasks = ReceiptLocal.fdTasks(g, cd)
+        val order = tasks.map(t => cd.subsetOf(t.members.head))
+        assert(order.sorted.toSeq == (0 until cd.subsets))
+        assert(order.map(cd.subsetWedgeW).toSeq == order.map(cd.subsetWedgeW).sortBy(-_).toSeq)
+        for ((task, i) <- tasks.zip(order)) {
           val members = (0 until g.nU).filter(cd.subsetOf(_) == i).toArray
           val induced = g.filterU(Array.tabulate(g.nU)(cd.subsetOf(_) == i))
+          assert(task.members.toSeq == members.toSeq, s"subset $i")
+          assert(task.initSup.toSeq == members.toSeq.map(cd.supInit), s"subset $i")
+          assert(task.edges.toSeq == induced.packedEdges.toSeq, s"subset $i")
           val ref = BUP.peel(induced, cd.supInit, members, enableDGM = dgm)
-          val (tips, wedges) = BUP.peelSubset(members, members.map(cd.supInit), induced.packedEdges, dgm)
+          val (tips, wedges) = task.peel(dgm)
           assert(tips.toSeq == members.toSeq.map(ref.tips), s"subset $i")
           assert(wedges == ref.metrics.peelWedges, s"subset $i")
         }

@@ -112,6 +112,8 @@ class SparkReceiptSpec extends SparkSpec {
     assert(!pb.finished)
     assert(pb.rounds == 3)
     assert(pb.tips.count(_ >= 0) < g.nU)
+    val ref = ParB.run(g, threads = 2).tips
+    assert((0 until g.nU).forall(u => pb.tips(u) < 0 || pb.tips(u) == ref(u)))
   }
 
   test("metrics: FD wedge work does not exceed CD peel work") {
@@ -122,8 +124,11 @@ class SparkReceiptSpec extends SparkSpec {
 
   test("CD with HUC off: Spark and local engines agree on subsets, ranges and rounds") {
     for ((g, p) <- Seq((BipartiteGraph.random(300, 200, 4000, 31), 5), (hubGraph(3), 4))) {
-      val local = ReceiptLocal.coarseDecomposition(g, ReceiptLocal.Config(P = p, threads = 4, enableHUC = false))
-      val dist = SparkReceipt.run(spark, BipartiteGen.edgesDF(spark, g), g.nU, g.nV, cfg(p, huc = false)).cd
+      val localRun = ReceiptLocal.run(g, ReceiptLocal.Config(P = p, threads = 4, enableHUC = false))
+      val distRun = SparkReceipt.run(spark, BipartiteGen.edgesDF(spark, g), g.nU, g.nV, cfg(p, huc = false))
+      val (local, dist) = (localRun.cd, distRun.cd)
+      assert(distRun.tips.toSeq == localRun.tips.toSeq)
+      assert(distRun.metrics.fdWedges == localRun.metrics.fdWedges)
       assert(dist.subsetOf.toSeq == local.subsetOf.toSeq)
       assert(dist.lo.toSeq == local.lo.toSeq)
       assert(dist.hi.toSeq == local.hi.toSeq)
