@@ -108,7 +108,8 @@ final class BipartiteGraph(
 
   /** Subgraph keeping only `U` vertices with `aliveU(u)`; vertex ids are
     * preserved (dead vertices keep empty adjacency). V side shrinks
-    * accordingly. Used for HUC re-counting and DGM compaction.
+    * accordingly. The program itself never copies a graph this way; tests
+    * and the benchmark's FD replay use it to build reference inputs.
     */
   def filterU(aliveU: Array[Boolean]): BipartiteGraph = {
     val es = new scala.collection.mutable.ArrayBuffer[Long](m)

@@ -1,6 +1,6 @@
 package repro.bipartite
 
-import java.util.concurrent.atomic.AtomicLongArray
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicLongArray}
 
 /** Result of a counting pass: per-vertex butterfly counts for both sides and
   * the number of wedges actually traversed (the paper's Λ^pvBcnt metric).
@@ -29,15 +29,23 @@ object ButterflyCounting {
 
   /** Combined-node-space view used by the priority algorithm: node ids are
     * `u` for U and `nU + v` for V; `rank(node)` is the position in the
-    * degree-descending order (rank 0 = highest degree, ties by id) and each
-    * adjacency list is pre-sorted by ascending rank so the inner loop can
-    * break at the first endpoint that violates the priority condition.
+    * degree-descending order of the graph it was built from (rank 0 =
+    * highest degree, ties by id) and each adjacency list `off(x) until
+    * end(x)` is sorted by ascending rank so the inner loop can break at the
+    * first endpoint that violates the priority condition. Any fixed total
+    * order counts exactly, so [[retainU]] can delete U vertices in place and
+    * [[count]] re-count the live graph without a rebuild. Scratch for
+    * `threads` workers is allocated once and reused by every count.
     */
-  private final class Combined(g: BipartiteGraph) {
+  private[bipartite] final class Combined(g: BipartiteGraph, threads: Int) {
     val n: Int            = g.nU + g.nV
     val rank: Array[Int]  = new Array[Int](n)
     val off: Array[Int]   = new Array[Int](n + 1)
+    val end: Array[Int]   = new Array[Int](n)
     val adj: Array[Int]   = new Array[Int](2 * g.m)
+    private val workers   = math.max(1, threads)
+    private val scratchW  = Array.fill(workers)(new Array[Int](n))
+    private val scratchZ  = Array.fill(workers)(new Array[Int](n))
 
     {
       val deg = new Array[Int](n)
@@ -75,94 +83,129 @@ object ButterflyCounting {
         java.util.Arrays.sort(sb, (a: Integer, b: Integer) => java.lang.Integer.compare(rank(a), rank(b)))
         var k = 0
         while (k < sb.length) { adj(from + k) = sb(k); k += 1 }
+        end(i) = until
         i += 1
       }
+    }
+
+    /** Deletes every U vertex `u` with `!alive(u)`: empties its list and
+      * drops it from every V list, compacting in place, which keeps each
+      * list in ascending rank order. O(current lists).
+      */
+    def retainU(alive: Array[Boolean]): Unit = {
+      var u = 0
+      while (u < g.nU) { if (!alive(u)) end(u) = off(u); u += 1 }
+      var x = g.nU
+      while (x < n) {
+        var w = off(x); var i = off(x)
+        while (i < end(x)) {
+          val a = adj(i)
+          if (alive(a)) { adj(w) = a; w += 1 }
+          i += 1
+        }
+        end(x) = w
+        x += 1
+      }
+    }
+
+    /** Alg. 1 on the current lists; start vertices are claimed in chunks by
+      * up to `threads` tasks on `pool`.
+      */
+    def count(pool: WorkerPool): ButterflyCounts = {
+      val cnt = new AtomicLongArray(n)
+      val wedgesTotal = new AtomicLong(0L)
+
+      def processRange(from: Int, until: Int, wdg: Array[Int], nze: Array[Int]): Long = {
+        var wedges = 0L
+        var sp = from
+        while (sp < until) {
+          val rsp = rank(sp)
+          var nNze = 0
+          // pass 1: aggregate wedge counts per endpoint
+          var i = off(sp)
+          var spAdd = 0L
+          while (i < end(sp)) {
+            val mp  = adj(i)
+            val rmp = rank(mp)
+            var j = off(mp)
+            val jEnd = end(mp)
+            var break = false
+            while (j < jEnd && !break) {
+              val ep = adj(j)
+              val rep = rank(ep)
+              if (rep >= rmp || rep >= rsp) break = true
+              else {
+                if (wdg(ep) == 0) { nze(nNze) = ep; nNze += 1 }
+                wdg(ep) += 1
+                wedges += 1
+                j += 1
+              }
+            }
+            i += 1
+          }
+          // same-side contributions
+          var k = 0
+          while (k < nNze) {
+            val ep = nze(k)
+            val b  = choose2(wdg(ep).toLong)
+            if (b > 0) { cnt.addAndGet(ep, b); spAdd += b }
+            k += 1
+          }
+          if (spAdd > 0) cnt.addAndGet(sp, spAdd)
+          // pass 2: opposite-side (mid) contributions, using finalized wdg
+          i = off(sp)
+          while (i < end(sp)) {
+            val mp  = adj(i)
+            val rmp = rank(mp)
+            var j = off(mp)
+            val jEnd = end(mp)
+            var mpAdd = 0L
+            var break = false
+            while (j < jEnd && !break) {
+              val ep = adj(j)
+              val rep = rank(ep)
+              if (rep >= rmp || rep >= rsp) break = true
+              else { mpAdd += wdg(ep) - 1; j += 1 }
+            }
+            if (mpAdd > 0) cnt.addAndGet(mp, mpAdd)
+            i += 1
+          }
+          // clear scratch
+          k = 0
+          while (k < nNze) { wdg(nze(k)) = 0; k += 1 }
+          sp += 1
+        }
+        wedges
+      }
+
+      if (workers == 1 || n < 1024) wedgesTotal.set(processRange(0, n, scratchW(0), scratchZ(0)))
+      else {
+        val chunk = math.max(1, n / (16 * workers))
+        val next = new AtomicInteger(0)
+        pool.run(workers) { t =>
+          var w = 0L
+          var from = next.getAndAdd(chunk)
+          while (from < n) {
+            w += processRange(from, math.min(n, from + chunk), scratchW(t), scratchZ(t))
+            from = next.getAndAdd(chunk)
+          }
+          wedgesTotal.addAndGet(w)
+        }
+      }
+
+      val cntU = new Array[Long](g.nU)
+      var u = 0
+      while (u < g.nU) { cntU(u) = cnt.get(u); u += 1 }
+      val cntV = new Array[Long](g.nV)
+      var v = 0
+      while (v < g.nV) { cntV(v) = cnt.get(g.nU + v); v += 1 }
+      ButterflyCounts(cntU, cntV, wedgesTotal.get())
     }
   }
 
   /** Alg. 1 on graph `g`, using up to `threads` worker threads. */
   def vertexPriority(g: BipartiteGraph, threads: Int = 1): ButterflyCounts = {
-    val c   = new Combined(g)
-    val n   = c.n
-    val cnt = new AtomicLongArray(n)
-    val wedgesTotal = new java.util.concurrent.atomic.AtomicLong(0L)
-
-    def processRange(from: Int, until: Int): Unit = {
-      val wdg = new Array[Long](n)
-      val nze = new Array[Int](n)
-      var wedges = 0L
-      var sp = from
-      while (sp < until) {
-        val rsp = c.rank(sp)
-        var nNze = 0
-        // pass 1: aggregate wedge counts per endpoint
-        var i = c.off(sp)
-        var spAdd = 0L
-        while (i < c.off(sp + 1)) {
-          val mp  = c.adj(i)
-          val rmp = c.rank(mp)
-          var j = c.off(mp)
-          val jEnd = c.off(mp + 1)
-          var break = false
-          while (j < jEnd && !break) {
-            val ep = c.adj(j)
-            val rep = c.rank(ep)
-            if (rep >= rmp || rep >= rsp) break = true
-            else {
-              if (wdg(ep) == 0) { nze(nNze) = ep; nNze += 1 }
-              wdg(ep) += 1
-              wedges += 1
-              j += 1
-            }
-          }
-          i += 1
-        }
-        // same-side contributions
-        var k = 0
-        while (k < nNze) {
-          val ep = nze(k)
-          val b  = choose2(wdg(ep))
-          if (b > 0) { cnt.addAndGet(ep, b); spAdd += b }
-          k += 1
-        }
-        if (spAdd > 0) cnt.addAndGet(sp, spAdd)
-        // pass 2: opposite-side (mid) contributions, using finalized wdg
-        i = c.off(sp)
-        while (i < c.off(sp + 1)) {
-          val mp  = c.adj(i)
-          val rmp = c.rank(mp)
-          var j = c.off(mp)
-          val jEnd = c.off(mp + 1)
-          var mpAdd = 0L
-          var break = false
-          while (j < jEnd && !break) {
-            val ep = c.adj(j)
-            val rep = c.rank(ep)
-            if (rep >= rmp || rep >= rsp) break = true
-            else { mpAdd += wdg(ep) - 1; j += 1 }
-          }
-          if (mpAdd > 0) cnt.addAndGet(mp, mpAdd)
-          i += 1
-        }
-        // clear scratch
-        k = 0
-        while (k < nNze) { wdg(nze(k)) = 0; k += 1 }
-        sp += 1
-      }
-      wedgesTotal.addAndGet(wedges)
-      ()
-    }
-
-    if (threads <= 1 || n < 1024) processRange(0, n)
-    else {
-      val chunk = math.max(1, (n + 4 * threads - 1) / (4 * threads))
-      WorkerPool.run(threads, (n + chunk - 1) / chunk) { t =>
-        processRange(t * chunk, math.min(n, (t + 1) * chunk))
-      }
-    }
-
-    val cntU = Array.tabulate(g.nU)(u => cnt.get(u))
-    val cntV = Array.tabulate(g.nV)(v => cnt.get(g.nU + v))
-    ButterflyCounts(cntU, cntV, wedgesTotal.get())
+    val pool = new WorkerPool(threads)
+    try new Combined(g, threads).count(pool) finally pool.close()
   }
 }

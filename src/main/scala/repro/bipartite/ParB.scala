@@ -19,8 +19,8 @@ object ParB {
 
     val st = new PeelState(g, enableDGM = false)
     st.setSupports(counts.cntU)
-    val update = new BatchUpdate(st, threads)
-    val r = try peel(st, update(_, _), _ => true) finally update.close()
+    val pool = new WorkerPool(threads)
+    val r = try { val update = new BatchUpdate(st, pool); peel(st, update(_, _), _ => true) } finally pool.close()
     val t2 = System.nanoTime()
     TipResult(
       r.tips,

@@ -216,13 +216,13 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
 }
 
 /** One synchronization round of batch peeling on a thread pool: alg. 2
-  * `update` for every vertex of a batch, split into `threads` contiguous
-  * chunks with one barrier. Shared by ParB rounds and RECEIPT CD peel
-  * rounds. The pool and per-thread scratch are allocated once per instance
-  * and reused by every round; `close` shuts the pool down.
+  * `update` for every vertex of a batch, split into `pool.threads`
+  * contiguous chunks with one barrier. Shared by ParB rounds and RECEIPT CD
+  * peel rounds. Per-thread scratch is allocated once per instance and
+  * reused by every round; the pool is the caller's.
   */
-final class BatchUpdate(st: PeelState, threads: Int) extends AutoCloseable {
-  private val pool = new WorkerPool(threads)
+final class BatchUpdate(st: PeelState, pool: WorkerPool) {
+  private val threads = pool.threads
   private val scratchW = Array.fill(threads)(new Array[Int](st.g.nU))
   private val scratchT = Array.fill(threads)(new Array[Int](st.g.nU))
   private val touchedFlag = new Array[Boolean](st.g.nU)
@@ -254,6 +254,4 @@ final class BatchUpdate(st: PeelState, threads: Int) extends AutoCloseable {
     touched.foreach(touchedFlag(_) = false)
     (wedges.get(), touched.toArray)
   }
-
-  def close(): Unit = pool.close()
 }

@@ -9,7 +9,8 @@ package repro.bipartite
   *    adaptive targeting (dynamic `tgt`, overshoot scaling `s_i ≤ 1`).
   *  - **HUC**: when the stored wedge cost of peeling the active set exceeds
   *    the Chiba–Nishizeki re-count bound, the active set is deleted without
-  *    computing updates and butterflies are re-counted on the live subgraph.
+  *    computing updates and butterflies are re-counted on the live subgraph,
+  *    in place on the rank-ordered structure of the initial count.
   *  - **DGM**: V-adjacency compaction amortized against traversed wedges
   *    (see [[PeelState.chargeWedges]]).
   *  - **FD** peels each subset exactly with [[BUP.peelSubset]] on the
@@ -36,6 +37,7 @@ object ReceiptLocal {
       hucTriggers: Int,
       cntTimeMs: Double,
       cdTimeMs: Double,
+      hucTimeMs: Double, // part of cdTimeMs
       fdTimeMs: Double
   ) {
     def cntWedges: Long = cntInitWedges + hucWedges
@@ -55,7 +57,8 @@ object ReceiptLocal {
       rounds: Long,
       hucTriggers: Int,
       cntTimeMs: Double,
-      peelTimeMs: Double
+      peelTimeMs: Double,
+      hucTimeMs: Double          // re-count time, part of peelTimeMs
   ) { def subsets: Int = lo.length }
 
   final case class Result(tips: Array[Long], metrics: Metrics, cd: CDResult)
@@ -75,7 +78,8 @@ object ReceiptLocal {
         cntInitWedges = cd.cntInitWedges, hucWedges = cd.hucWedges,
         cdPeelWedges = cd.peelWedges, fdWedges = fdWedges,
         rounds = cd.rounds, subsets = cd.subsets, hucTriggers = cd.hucTriggers,
-        cntTimeMs = cd.cntTimeMs, cdTimeMs = cd.peelTimeMs, fdTimeMs = fdTimeMs
+        cntTimeMs = cd.cntTimeMs, cdTimeMs = cd.peelTimeMs, hucTimeMs = cd.hucTimeMs,
+        fdTimeMs = fdTimeMs
       ),
       cd
     )
@@ -104,26 +108,33 @@ object ReceiptLocal {
   }
 
   /** Shared-memory CD: vertex-priority counting, then the alg. 3 driver
-    * with threaded batch peel rounds and re-counts on the filtered graph.
+    * with threaded batch peel rounds and in-place re-counts of the live
+    * graph. One rank-ordered [[ButterflyCounting.Combined]] serves the
+    * initial count and every re-count (each first deletes the peeled U
+    * vertices from it), and one pool runs counts and peel rounds.
     */
   def coarseDecomposition(g: BipartiteGraph, cfg: Config): CDResult = {
-    val tCnt0 = System.nanoTime()
-    val counts = ButterflyCounting.vertexPriority(g, cfg.threads)
-    val cntTimeMs = (System.nanoTime() - tCnt0) / 1e6
+    val pool = new WorkerPool(cfg.threads)
+    try {
+      val tCnt0 = System.nanoTime()
+      val comb = new ButterflyCounting.Combined(g, cfg.threads)
+      val counts = comb.count(pool)
+      val cntTimeMs = (System.nanoTime() - tCnt0) / 1e6
 
-    val st = new PeelState(g, cfg.enableDGM)
-    st.setSupports(counts.cntU)
-    val update = new BatchUpdate(st, cfg.threads)
-    val rounds = new CDRounds {
-      def peelCost(u: Int): Long = st.storedPeelCost(u) // stale until DGM compacts
-      def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = update(batch, capFloor)
-      def recount(removed: Array[Int]): (Array[Long], Long) = {
-        val rc = ButterflyCounting.vertexPriority(g.filterU(st.alive), cfg.threads)
-        (rc.cntU, rc.wedges)
+      val st = new PeelState(g, cfg.enableDGM)
+      st.setSupports(counts.cntU)
+      val update = new BatchUpdate(st, pool)
+      val rounds = new CDRounds {
+        def peelCost(u: Int): Long = st.storedPeelCost(u) // stale until DGM compacts
+        def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = update(batch, capFloor)
+        def recount(removed: Array[Int]): (Array[Long], Long) = {
+          comb.retainU(st.alive)
+          val rc = comb.count(pool)
+          (rc.cntU, rc.wedges)
+        }
       }
-    }
-    try coarseDecomposition(st, cfg.P, cfg.enableHUC, counts.wedges, cntTimeMs, rounds)
-    finally update.close()
+      coarseDecomposition(st, cfg.P, cfg.enableHUC, counts.wedges, cntTimeMs, rounds)
+    } finally pool.close()
   }
 
   /** Alg. 3 on any substrate: partitions the live vertices of `st` (supports
@@ -144,6 +155,7 @@ object ReceiptLocal {
     val swBuf = scala.collection.mutable.ArrayBuffer[Long]()
 
     var hucWedges = 0L
+    var hucNs = 0L
     var peelWedges = 0L
     var rounds = 0L
     var hucTriggers = 0
@@ -179,7 +191,9 @@ object ReceiptLocal {
 
         if (enableHUC && cPeel > cRcntCache) {
           hucTriggers += 1
+          val tRc0 = System.nanoTime()
           val (cnt, wedges) = sub.recount(active)
+          hucNs += System.nanoTime() - tRc0
           var u2 = 0
           while (u2 < nU) { if (st.alive(u2)) st.sup.set(u2, cnt(u2)); u2 += 1 }
           hucWedges += wedges
@@ -206,7 +220,7 @@ object ReceiptLocal {
       subsetOf, supInit, loBuf.toArray, hiBuf.toArray, swBuf.toArray,
       cntInitWedges = cntInitWedges, hucWedges = hucWedges, peelWedges = peelWedges,
       rounds = rounds, hucTriggers = hucTriggers,
-      cntTimeMs = cntTimeMs, peelTimeMs = (System.nanoTime() - t0) / 1e6
+      cntTimeMs = cntTimeMs, peelTimeMs = (System.nanoTime() - t0) / 1e6, hucTimeMs = hucNs / 1e6
     )
   }
 

@@ -10,7 +10,7 @@ import scala.jdk.CollectionConverters._
   * reads, and rethrows the first task failure; tasks not yet started by
   * then are skipped.
   */
-final class WorkerPool(threads: Int) extends AutoCloseable {
+final class WorkerPool(val threads: Int) extends AutoCloseable {
   private val pool = Executors.newFixedThreadPool(math.max(1, threads))
 
   def run(n: Int)(task: Int => Unit): Unit = {

@@ -118,5 +118,23 @@ class ButterflyCountingSpec extends AnyFunSuite {
     val c = ButterflyCounting.vertexPriority(g.filterU(alive))
     // K_{2,3} remains: ⋈_u = 1 * C(3,2) = 3
     assert(c.cntU.toSeq == Seq(3L, 3L, 0L))
+    // in place: cumulative deletions from one structure, re-counted each time
+    val rnd = new java.util.Random(5)
+    for (g <- Seq(BipartiteGraph.random(700, 500, 8000, seed = 3), ReceiptLocalSpec.hubGraph(1));
+         threads <- Seq(1, 4)) {
+      val comb = new ButterflyCounting.Combined(g, threads)
+      val pool = new WorkerPool(threads)
+      try {
+        val alive = Array.fill(g.nU)(true)
+        for (step <- 0 until 5) {
+          for (u <- alive.indices if step > 0 && rnd.nextDouble() < 0.2) alive(u) = false
+          comb.retainU(alive)
+          val c = comb.count(pool)
+          val ref = ReferenceCounts.bruteForce(g.filterU(alive))
+          assertSame(c.cntU, ref.cntU, s"U nU=${g.nU} threads=$threads step=$step")
+          assertSame(c.cntV, ref.cntV, s"V nU=${g.nU} threads=$threads step=$step")
+        }
+      } finally pool.close()
+    }
   }
 }

@@ -3,13 +3,10 @@ package repro.bipartite
 import org.scalatest.funsuite.AnyFunSuite
 import repro.ReferenceCounts
 
-class ReceiptLocalSpec extends AnyFunSuite {
-
-  private def cfg(p: Int, huc: Boolean = true, dgm: Boolean = true, t: Int = 4) =
-    ReceiptLocal.Config(P = p, threads = t, enableHUC = huc, enableDGM = dgm)
+object ReceiptLocalSpec {
 
   /** A hub graph: 80% of its edges land on 4 of its 100 V vertices. */
-  private def hubGraph(seed: Long): BipartiteGraph = {
+  def hubGraph(seed: Long): BipartiteGraph = {
     val rnd = new java.util.Random(seed)
     // few V hubs with huge degree => peel cost >> count cost => HUC triggers
     val es = (0 until 3000).map { _ =>
@@ -18,6 +15,13 @@ class ReceiptLocalSpec extends AnyFunSuite {
     }
     BipartiteGraph.fromEdges(400, 100, es)
   }
+}
+
+class ReceiptLocalSpec extends AnyFunSuite {
+  import ReceiptLocalSpec.hubGraph
+
+  private def cfg(p: Int, huc: Boolean = true, dgm: Boolean = true, t: Int = 4) =
+    ReceiptLocal.Config(P = p, threads = t, enableHUC = huc, enableDGM = dgm)
 
   for (seed <- 0 until 15)
     test(s"RECEIPT tips equal BUP tips (seed=$seed, P=4)") {
@@ -70,8 +74,40 @@ class ReceiptLocalSpec extends AnyFunSuite {
     val noHuc   = ReceiptLocal.run(g, cfg(6, huc = false, dgm = false))
     assert(withHuc.tips.toSeq == noHuc.tips.toSeq)
     assert(withHuc.metrics.hucTriggers > 0, "expected HUC to fire on hub graph")
+    // re-count time is measured on its own, as part of CD time
+    assert(withHuc.metrics.hucTimeMs > 0 && withHuc.metrics.hucTimeMs <= withHuc.cd.peelTimeMs)
+    assert(noHuc.metrics.hucTriggers == 0 && noHuc.metrics.hucTimeMs == 0.0)
     assert(withHuc.metrics.totalWedges < noHuc.metrics.totalWedges,
       s"HUC should reduce traversal: ${withHuc.metrics.totalWedges} vs ${noHuc.metrics.totalWedges}")
+  }
+
+  test("in-place HUC re-counts give the same CD as re-counting a filtered copy") {
+    val hubs = Seq(1, 2, 3).map(hubGraph(_))
+    for (g <- hubs :+ BipartiteGraph.random(300, 200, 5000, seed = 7)) {
+      val c = cfg(5)
+      val cd = ReceiptLocal.coarseDecomposition(g, c)
+      // the reference: every re-count builds a fresh structure on g.filterU
+      val counts = ButterflyCounting.vertexPriority(g, c.threads)
+      val st = new PeelState(g, c.enableDGM)
+      st.setSupports(counts.cntU)
+      val pool = new WorkerPool(c.threads)
+      val ref = try {
+        val update = new BatchUpdate(st, pool)
+        ReceiptLocal.coarseDecomposition(st, c.P, enableHUC = true, counts.wedges, 0.0, new ReceiptLocal.CDRounds {
+          def peelCost(u: Int): Long = st.storedPeelCost(u)
+          def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = update(batch, capFloor)
+          def recount(removed: Array[Int]): (Array[Long], Long) = {
+            val rc = ButterflyCounting.vertexPriority(g.filterU(st.alive), c.threads)
+            (rc.cntU, rc.wedges)
+          }
+        })
+      } finally pool.close()
+      if (hubs.contains(g)) assert(ref.hucTriggers > 0, "expected HUC to fire on hub graph")
+      assert(cd.subsetOf.toSeq == ref.subsetOf.toSeq)
+      assert(cd.supInit.toSeq == ref.supInit.toSeq)
+      assert(cd.lo.toSeq == ref.lo.toSeq && cd.hi.toSeq == ref.hi.toSeq)
+      assert((cd.rounds, cd.hucTriggers, cd.peelWedges) == ((ref.rounds, ref.hucTriggers, ref.peelWedges)))
+    }
   }
 
   test("DGM reduces (or preserves) wedge traversal") {

@@ -55,6 +55,8 @@ class SparkReceiptSpec extends SparkSpec {
     assert(on.tips.toSeq == off.tips.toSeq)
     assert(on.metrics.hucTriggers > 0, "expected HUC rounds on hub graph")
     assert(on.metrics.totalWedges < off.metrics.totalWedges)
+    assert(on.metrics.hucTimeMs > 0 && on.metrics.hucTimeMs <= on.metrics.cdTimeMs)
+    assert(off.metrics.hucTimeMs == 0.0)
   }
 
   test("isolated and degree-0 vertices get tip 0") {
