@@ -25,13 +25,14 @@ final case class TipResult(tips: Array[Long], metrics: PeelMetrics)
 /** Sequential Bottom-Up Peeling (alg. 2) — the paper's exact baseline and
   * also the inner engine RECEIPT FD applies to each induced subgraph.
   *
-  * Minimum-support retrieval uses a lazy-deletion binary min-heap (the
-  * paper's implementation note: a k-way min-heap beat both Julienne-style
-  * bucketing and Fibonacci heaps in practice; a binary heap has the same
-  * asymptotics as k-way and is the natural Scala analogue).
+  * Minimum-support retrieval uses an [[IndexedMinHeap]]: one entry per
+  * live vertex, keyed by its support, lowered in place by decrease-key on
+  * every update, ties broken by vertex id (the paper's implementation note:
+  * a k-way min-heap beat both Julienne-style bucketing and Fibonacci heaps
+  * in practice; a binary heap has the same asymptotics as k-way and is the
+  * natural Scala analogue).
   */
 object BUP {
-  import Peeling._
 
   /** Full tip decomposition of `g`'s U side: counts butterflies, then peels.
     * @param countThreads threads for the initial pvBcnt (the baseline tables
@@ -66,27 +67,22 @@ object BUP {
     var u = 0
     while (u < g.nU) { if (!inSet(u)) st.alive(u) = false; u += 1 }
 
-    val heap = new LongMinHeap(members.length + 16)
-    members.foreach { v => st.sup.set(v, initSup(v)); heap.push(pack(initSup(v), v)) }
+    val heap = new IndexedMinHeap(g.nU)
+    members.foreach { v => st.sup.set(v, initSup(v)); heap.push(v, initSup(v)) }
 
     val tips = Array.fill[Long](g.nU)(-1L)
     val wdg = new Array[Int](g.nU)
     val touched = new Array[Int](g.nU)
     var peelWedges = 0L
-    var remaining = members.length
 
-    while (remaining > 0) {
-      val top = heap.pop()
-      val u0 = unpackId(top)
-      val s0 = unpackSup(top)
-      if (st.alive(u0) && st.sup.get(u0) == s0) { // not stale
-        tips(u0) = s0
-        st.markPeeled(u0)
-        remaining -= 1
-        val w = st.update(u0, s0, wdg, touched, (u2, ns) => heap.push(pack(ns, u2)))
-        peelWedges += w
-        st.chargeWedges(w)
-      }
+    while (!heap.isEmpty) {
+      val s0 = heap.topKey
+      val u0 = heap.pop()
+      tips(u0) = s0
+      st.markPeeled(u0)
+      val w = st.update(u0, s0, wdg, touched, heap.decrease)
+      peelWedges += w
+      st.chargeWedges(w)
     }
     val t1 = System.nanoTime()
     TipResult(tips, PeelMetrics(0L, peelWedges, 0L, 0.0, (t1 - t0) / 1e6))

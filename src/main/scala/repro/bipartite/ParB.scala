@@ -10,7 +10,6 @@ package repro.bipartite
   * once over the full graph (no DGM — the baseline has none).
   */
 object ParB {
-  import Peeling._
 
   def run(g: BipartiteGraph, threads: Int): TipResult = {
     val t0 = System.nanoTime()
@@ -40,41 +39,27 @@ object ParB {
   def peel(st: PeelState, round: (Array[Int], Long) => (Long, Array[Int]),
            more: Long => Boolean): TipResult = {
     val nU = st.g.nU
-    val heap = new LongMinHeap(st.aliveCount + 16)
+    val heap = new IndexedMinHeap(nU)
     var u = 0
-    while (u < nU) { if (st.alive(u)) heap.push(pack(st.sup.get(u), u)); u += 1 }
+    while (u < nU) { if (st.alive(u)) heap.push(u, st.sup.get(u)); u += 1 }
 
     val tips = Array.fill[Long](nU)(-1L)
     val buf = new Array[Int](nU)
     var rounds = 0L
     var wedges = 0L
-    while (st.aliveCount > 0 && more(rounds)) {
-      // gather the batch: all live vertices at the current minimum support
-      // Supports only decrease and a vertex is re-pushed exactly when its
-      // support changes, so at most one entry per vertex matches its live
-      // support — stale entries are strictly larger and get discarded.
+    // the heap holds exactly the live vertices, each keyed by its support
+    while (!heap.isEmpty && more(rounds)) {
+      val minSup = heap.topKey
       var nB = 0
-      var minSup = -1L
-      var gathering = true
-      while (gathering && !heap.isEmpty) {
-        val top = heap.peek
-        val cand = unpackId(top)
-        val cSup = unpackSup(top)
-        if (!st.alive(cand) || st.sup.get(cand) != cSup) { heap.pop(); () } // stale
-        else if (minSup < 0 || cSup == minSup) {
-          if (minSup < 0) minSup = cSup
-          heap.pop(); buf(nB) = cand; nB += 1
-        } else gathering = false
-      }
-      require(nB > 0, "heap exhausted with vertices remaining")
+      while (!heap.isEmpty && heap.topKey == minSup) { buf(nB) = heap.pop(); nB += 1 }
       val batch = java.util.Arrays.copyOf(buf, nB)
       batch.foreach { b => tips(b) = minSup; st.markPeeled(b) }
 
-      // one synchronization round; push each distinct updated vertex once
-      // with its settled support
+      // one synchronization round; lower each distinct updated vertex once
+      // to its settled support
       val (w, touched) = round(batch, minSup)
       wedges += w
-      touched.foreach(u2 => heap.push(pack(st.sup.get(u2), u2)))
+      touched.foreach(u2 => heap.decrease(u2, st.sup.get(u2)))
       rounds += 1
     }
     TipResult(tips, PeelMetrics(0L, wedges, rounds, 0.0, 0.0))

@@ -3,60 +3,75 @@ package repro.bipartite
 import java.util.concurrent.atomic.{AtomicLong, AtomicLongArray}
 import scala.collection.mutable.ArrayBuffer
 
-/** Unboxed binary min-heap of packed longs. Peeling kernels pack
-  * `(support << IdBits) | vertexId` so the heap orders by support first
-  * (supports are non-negative), with lazy deletion of stale entries.
+/** Indexed binary min-heap over the ids `0 until n`, ordered by
+  * `(key, id)`: at most one entry per id, whose key [[decrease]] lowers in
+  * place. Peeling keys each live vertex by its support, so the heap never
+  * holds more than the vertices it was seeded with, and ties pop in
+  * ascending id order.
   */
-final class LongMinHeap(initCap: Int = 16) {
-  private var a = new Array[Long](math.max(initCap, 16))
-  private var n = 0
+final class IndexedMinHeap(n: Int) {
+  private val key = new Array[Long](n)
+  private val heap = new Array[Int](n)
+  private val pos = new Array[Int](n)
+  private var size = 0
 
-  def size: Int = n
-  def isEmpty: Boolean = n == 0
+  def isEmpty: Boolean = size == 0
 
-  def push(x: Long): Unit = {
-    if (n == a.length) a = java.util.Arrays.copyOf(a, a.length * 2)
-    a(n) = x
-    var i = n
-    n += 1
-    while (i > 0 && a((i - 1) / 2) > a(i)) {
-      val p = (i - 1) / 2
-      val t = a(p); a(p) = a(i); a(i) = t
-      i = p
-    }
+  /** Key of the minimum entry; the heap must not be empty. */
+  def topKey: Long = key(heap(0))
+
+  /** Adds `id` (not already in the heap) with key `k`. */
+  def push(id: Int, k: Long): Unit = {
+    key(id) = k
+    size += 1
+    siftUp(id, size - 1)
   }
 
-  def peek: Long = a(0)
+  /** Lowers the key of `id` (in the heap) to `k ≤` its current key. */
+  def decrease(id: Int, k: Long): Unit = {
+    key(id) = k
+    siftUp(id, pos(id))
+  }
 
-  def pop(): Long = {
-    val top = a(0)
-    n -= 1
-    a(0) = a(n)
-    var i = 0
+  /** Removes the minimum entry and returns its id. */
+  def pop(): Int = {
+    val top = heap(0)
+    size -= 1
+    if (size > 0) siftDown(heap(size), 0)
+    top
+  }
+
+  @inline private def less(a: Int, b: Int): Boolean =
+    key(a) < key(b) || (key(a) == key(b) && a < b)
+
+  private def place(id: Int, i: Int): Unit = { heap(i) = id; pos(id) = i }
+
+  private def siftUp(id: Int, from: Int): Unit = {
+    var i = from
+    while (i > 0 && less(id, heap((i - 1) >>> 1))) {
+      val p = (i - 1) >>> 1
+      place(heap(p), i)
+      i = p
+    }
+    place(id, i)
+  }
+
+  private def siftDown(id: Int, from: Int): Unit = {
+    var i = from
     var done = false
     while (!done) {
-      val l = 2 * i + 1; val r = l + 1
-      var s = i
-      if (l < n && a(l) < a(s)) s = l
-      if (r < n && a(r) < a(s)) s = r
-      if (s == i) done = true
-      else { val t = a(s); a(s) = a(i); a(i) = t; i = s }
+      val l = 2 * i + 1
+      if (l >= size) done = true
+      else {
+        val c = if (l + 1 < size && less(heap(l + 1), heap(l))) l + 1 else l
+        if (less(heap(c), id)) { place(heap(c), i); i = c } else done = true
+      }
     }
-    top
+    place(id, i)
   }
 }
 
 object Peeling {
-  /** Vertex ids packed into the low bits of heap entries. 2^21 = 2M vertices
-    * leaves 42 bits for supports (≈4.4e12), plenty at reproduction scale.
-    */
-  val IdBits = 21
-  val IdMask: Long = (1L << IdBits) - 1
-
-  @inline def pack(sup: Long, u: Int): Long = (sup << IdBits) | u
-  @inline def unpackSup(x: Long): Long = x >>> IdBits
-  @inline def unpackId(x: Long): Int = (x & IdMask).toInt
-
   @inline def choose2(c: Long): Long = c * (c - 1) / 2
 }
 
@@ -73,6 +88,10 @@ object Peeling {
   *    butterflies, and apply capped atomic decrements
   *    `⋈_{u'} ← max(capFloor, ⋈_{u'} − C(c,2))`.
   *
+  * Vertex ids and supports are plain `Int`s and `Long`s here and in the
+  * peel heap ([[IndexedMinHeap]]), so `g.nU` and supports use their full
+  * range.
+  *
   * Thread-safety: `update` may be called concurrently for distinct `u`
   * provided each caller passes its own `wdg`/`touched` scratch. Callers must
   * mark the whole batch dead (`markPeeled`) before issuing updates so
@@ -80,8 +99,6 @@ object Peeling {
   */
 final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
   import Peeling._
-
-  require(g.nU < (1 << IdBits), s"nU=${g.nU} exceeds heap id space")
 
   val alive: Array[Boolean] = Array.fill(g.nU)(true)
   val sup: AtomicLongArray  = new AtomicLongArray(g.nU)
@@ -146,8 +163,8 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
 
   /** Alg. 2 `update` for peeled vertex `u`. Returns wedges traversed.
     * `onUpdated` is invoked once per distinct live vertex whose support
-    * changed, with its new support (callers use it for heap pushes /
-    * active-set tracking; pass null to skip). Scratch arrays must be sized
+    * changed, with its new support (callers use it for heap decrease-keys
+    * / active-set tracking; pass null to skip). Scratch arrays must be sized
     * `nU` (`wdg` zeroed between calls — this routine restores zeros).
     */
   def update(u: Int, capFloor: Long, wdg: Array[Int], touched: Array[Int],

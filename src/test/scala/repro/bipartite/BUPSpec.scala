@@ -98,4 +98,23 @@ class BUPSpec extends AnyFunSuite {
     val r = BUP.run(g)
     assert(r.metrics.peelWedges == g.peelCostU.sum)
   }
+
+  test("BUP.peel equals the lazy-heap peel on tips and wedges, DGM on and off") {
+    for (seed <- 1 to 3; g <- Seq(BipartiteGraph.random(200, 120, 2500, seed), ReceiptLocalSpec.hubGraph(seed));
+         dgm <- Seq(false, true)) {
+      val cnt = ButterflyCounting.vertexPriority(g).cntU
+      val all = Array.range(0, g.nU)
+      val got = BUP.peel(g, cnt, all, dgm)
+      val want = LazyHeapPeel.bup(g, cnt, all, dgm)
+      assert(got.tips.sameElements(want.tips), s"seed=$seed dgm=$dgm")
+      assert(got.metrics.peelWedges == want.metrics.peelWedges, s"seed=$seed dgm=$dgm")
+    }
+  }
+
+  test("BUP matches the naive definition oracle on hub-shaped graphs") {
+    for (seed <- 1 to 3; hubs <- Seq(3, 4)) {
+      val g = ReceiptLocalSpec.hubGraph(seed, nU = 120, nV = 40, m = 900, hubs = hubs)
+      assert(BUP.run(g).tips.toSeq == ReferenceTip.tipNumbers(g).toSeq, s"seed=$seed hubs=$hubs")
+    }
+  }
 }

@@ -49,4 +49,30 @@ class ParBSpec extends AnyFunSuite {
     assert(r.metrics.rounds == 1L)
     assert(r.tips.forall(_ == 0L))
   }
+
+  test("ParB's rounds, wedges and tips equal the lazy-heap batch loop's") {
+    for (seed <- 1 to 3; g <- Seq(BipartiteGraph.random(200, 120, 2500, seed), ReceiptLocalSpec.hubGraph(seed));
+         cap <- Seq(Long.MaxValue, 5L)) {
+      val cnt = ButterflyCounting.vertexPriority(g).cntU
+      def peel(loop: (PeelState, (Array[Int], Long) => (Long, Array[Int]), Long => Boolean) => TipResult) = {
+        val st = new PeelState(g, enableDGM = false)
+        st.setSupports(cnt)
+        val pool = new WorkerPool(4)
+        try { val update = new BatchUpdate(st, pool); loop(st, update(_, _), _ < cap) } finally pool.close()
+      }
+      val got = peel(ParB.peel)
+      val want = peel(LazyHeapPeel.parB)
+      assert(got.tips.sameElements(want.tips), s"seed=$seed cap=$cap")
+      assert(got.metrics.peelWedges == want.metrics.peelWedges, s"seed=$seed cap=$cap")
+      assert(got.metrics.rounds == want.metrics.rounds, s"seed=$seed cap=$cap")
+      if (cap == Long.MaxValue) assert(ParB.run(g, threads = 4).metrics.rounds == want.metrics.rounds)
+    }
+  }
+
+  test("ParB matches the naive definition oracle on hub-shaped graphs") {
+    for (seed <- 1 to 3; hubs <- Seq(3, 4)) {
+      val g = ReceiptLocalSpec.hubGraph(seed, nU = 120, nV = 40, m = 900, hubs = hubs)
+      assert(ParB.run(g, threads = 4).tips.toSeq == ReferenceTip.tipNumbers(g).toSeq, s"seed=$seed hubs=$hubs")
+    }
+  }
 }

@@ -5,15 +5,17 @@ import repro.ReferenceCounts
 
 object ReceiptLocalSpec {
 
-  /** A hub graph: 80% of its edges land on 4 of its 100 V vertices. */
-  def hubGraph(seed: Long): BipartiteGraph = {
+  /** A hub graph: 80% of its `m` random edges land on `hubs` of its `nV`
+    * V vertices (by default 4 of 100, over 400 U vertices).
+    */
+  def hubGraph(seed: Long, nU: Int = 400, nV: Int = 100, m: Int = 3000, hubs: Int = 4): BipartiteGraph = {
     val rnd = new java.util.Random(seed)
     // few V hubs with huge degree => peel cost >> count cost => HUC triggers
-    val es = (0 until 3000).map { _ =>
-      val v = if (rnd.nextDouble() < 0.8) rnd.nextInt(4) else 4 + rnd.nextInt(96)
-      (rnd.nextInt(400), v)
+    val es = (0 until m).map { _ =>
+      val v = if (rnd.nextDouble() < 0.8) rnd.nextInt(hubs) else hubs + rnd.nextInt(nV - hubs)
+      (rnd.nextInt(nU), v)
     }
-    BipartiteGraph.fromEdges(400, 100, es)
+    BipartiteGraph.fromEdges(nU, nV, es)
   }
 }
 
@@ -231,5 +233,22 @@ class ReceiptLocalSpec extends AnyFunSuite {
     val r = ReceiptLocal.run(g, cfg(1))
     assert(r.tips.toSeq == BUP.run(g).tips.toSeq)
     assert(r.cd.subsets <= 2)
+  }
+
+  test("U sides of 2^21 vertices and more decompose exactly") {
+    val nU = (1 << 21) + 8
+    // two K_{3,3} on the six highest U ids; every other U vertex is isolated
+    val es = for (k <- 0 until 2; u <- 0 until 3; v <- 0 until 3) yield (nU - 6 + 3 * k + u, 3 * k + v)
+    val g = BipartiteGraph.fromEdges(nU, 6, es)
+    val runs = Seq[(String, () => Array[Long])](
+      "BUP" -> (() => BUP.run(g).tips),
+      "ParB" -> (() => ParB.run(g, threads = 4).tips),
+      "RECEIPT" -> (() => ReceiptLocal.run(g, cfg(15)).tips))
+    for ((name, run) <- runs) {
+      val tips = run()
+      assert(tips.length == nU, name)
+      assert((0 until nU - 6).forall(tips(_) == 0L), name)
+      assert((nU - 6 until nU).forall(tips(_) == 6L), name)
+    }
   }
 }
