@@ -34,13 +34,12 @@ final case class TipResult(tips: Array[Long], metrics: PeelMetrics)
   */
 object BUP {
 
-  /** Full tip decomposition of `g`'s U side: counts butterflies, then peels.
-    * @param countThreads threads for the initial pvBcnt (the baseline tables
-    *                     time pvBcnt separately from the sequential peel)
+  /** Full tip decomposition of `g`'s U side: counts butterflies on one
+    * thread, then peels.
     */
-  def run(g: BipartiteGraph, countThreads: Int = 1): TipResult = {
+  def run(g: BipartiteGraph): TipResult = {
     val t0 = System.nanoTime()
-    val counts = ButterflyCounting.vertexPriority(g, countThreads)
+    val counts = ButterflyCounting.vertexPriority(g)
     val t1 = System.nanoTime()
     val members = Array.tabulate(g.nU)(identity)
     val r = peel(g, counts.cntU, members, enableDGM = false)

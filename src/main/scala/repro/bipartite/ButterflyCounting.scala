@@ -25,8 +25,6 @@ final case class ButterflyCounts(cntU: Array[Long], cntV: Array[Long], wedges: L
   */
 object ButterflyCounting {
 
-  @inline private def choose2(c: Long): Long = c * (c - 1) / 2
-
   /** Combined-node-space view used by the priority algorithm: node ids are
     * `u` for U and `nU + v` for V; `rank(node)` is the position in the
     * degree-descending order of the graph it was built from (rank 0 =
@@ -147,7 +145,7 @@ object ButterflyCounting {
           var k = 0
           while (k < nNze) {
             val ep = nze(k)
-            val b  = choose2(wdg(ep).toLong)
+            val b  = Peeling.choose2(wdg(ep).toLong)
             if (b > 0) { cnt.addAndGet(ep, b); spAdd += b }
             k += 1
           }

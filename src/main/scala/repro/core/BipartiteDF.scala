@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.bipartite.BipartiteGraph
 
@@ -10,9 +10,12 @@ import repro.bipartite.BipartiteGraph
   */
 object BipartiteDF {
 
+  /** Exactly the two columns `u`, `v`, as longs. */
+  private def longUV(edges: DataFrame): DataFrame =
+    edges.select(col("u").cast("long") as "u", col("v").cast("long") as "v")
+
   /** Canonicalize: exactly the two columns `u`, `v` as longs, deduplicated. */
-  def canonical(edges: DataFrame): DataFrame =
-    edges.select(col("u").cast("long") as "u", col("v").cast("long") as "v").distinct()
+  def canonical(edges: DataFrame): DataFrame = longUV(edges).distinct()
 
   /** Per-`v` degrees: `(v, dv)`. */
   def degreesV(edges: DataFrame): DataFrame =
@@ -22,28 +25,14 @@ object BipartiteDF {
   def degreesU(edges: DataFrame): DataFrame =
     edges.groupBy("u").agg(count(lit(1)) as "du")
 
-  /** Σ_v C(d_v, 2): wedges with both endpoints in U. */
-  def wedgesEndpointsU(edges: DataFrame): Long = {
-    val w = degreesV(edges).agg(sum(col("dv") * (col("dv") - 1) / 2) as "w")
-    longAt(w.collect()(0), 0)
-  }
-
-  /** Column `i` of a collected aggregate row as a long: sums arrive as
-    * `Long`, `BigDecimal` or `Double` depending on the input type, and as
-    * null over no rows (read as 0).
-    */
-  def longAt(r: Row, i: Int): Long = r.get(i) match {
-    case null                    => 0L
-    case l: Long                 => l
-    case d: java.math.BigDecimal => d.longValueExact()
-    case d: Double               => d.toLong
-  }
+  /** `C(c, 2)` of a long column, in exact integer arithmetic. */
+  def choose2(c: Column): Column = shiftright(c * (c - 1), 1)
 
   /** Collect a DataFrame of edges into a local [[BipartiteGraph]]; every
-    * edge must lie in `[0, nU) × [0, nV)`.
+    * edge must lie in `[0, nU) × [0, nV)`. Duplicate edges are dropped.
     */
   def toLocal(edges: DataFrame, nU: Int, nV: Int): BipartiteGraph = {
-    val packed = canonical(edges).collect().map { r =>
+    val packed = longUV(edges).collect().map { r =>
       val u = r.getLong(0); val v = r.getLong(1)
       require(u >= 0 && u < nU && v >= 0 && v < nV, s"edge ($u,$v) out of range ($nU,$nV)")
       (u << 32) | v

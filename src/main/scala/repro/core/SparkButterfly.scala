@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.bipartite.ButterflyCounts
 
 /** Per-vertex butterfly counting as a Catalyst dataflow — alg. 1 of the
   * paper expressed relationally.
@@ -14,15 +16,11 @@ import org.apache.spark.sql.functions._
   * shared-memory implementation enjoys, and the reason a hub vertex does
   * not explode the shuffle the way the naive pair join does.
   *
-  * Contributions per aggregated wedge group `(sp, ep)` with multiplicity c:
+  * Contributions per wedge group `(sp, ep)` with multiplicity c:
   * `C(c,2)` butterflies to both same-side endpoints, and `c−1` to the mid
   * vertex of every wedge in the group (opposite side).
   */
 object SparkButterfly {
-
-  final case class Result(cntU: Array[Long], cntV: Array[Long], wedgeRows: Long) {
-    def totalButterflies: Long = cntU.sum / 2
-  }
 
   /** Combined directed edge table with node ids `2*u` (U side) and `2*v+1`
     * (V side) and degree annotations on both endpoints.
@@ -52,37 +50,47 @@ object SparkButterfly {
   }
 
   /** Per-vertex counts `(node, cnt)` in combined id space (non-zero only). */
-  def countsDF(edges: DataFrame): DataFrame = countsOf(wedges(edges))
+  def countsDF(edges: DataFrame): DataFrame = aggregate(edges).where(col("node") >= 0)
 
-  /** The per-vertex aggregation of a priority-filtered wedge table `w`. */
-  private def countsOf(w: DataFrame): DataFrame = {
-    val pairC = w.groupBy("sp", "ep").agg(count(lit(1)) as "c")
-    val same = pairC
-      .select(col("sp") as "node", (col("c") * (col("c") - 1) / 2) as "b")
-      .union(pairC.select(col("ep") as "node", (col("c") * (col("c") - 1) / 2) as "b"))
-    val mid = w
-      .join(pairC, Seq("sp", "ep"))
-      .select(col("mp") as "node", (col("c") - 1) as "b")
-    same.union(mid)
-      .groupBy("node")
-      .agg(sum("b") as "cnt")
+  /** Node id of the row of [[aggregate]] that counts the wedge rows. */
+  private val WedgeRowsNode = -1L
+
+  /** The per-vertex aggregation of the priority-filtered wedges of `edges`,
+    * plus one row `(WedgeRowsNode, wedge rows)`. A window gives each wedge
+    * its group's multiplicity c, and each wedge row then adds twice its
+    * share: `c−1` to `sp` and to `ep` (c rows sum to `2·C(c,2)`), `2(c−1)`
+    * to `mp` and 2 to the wedge-row total. Every sum is even and is halved
+    * exactly, so the wedges are generated once and never joined back.
+    */
+  private def aggregate(edges: DataFrame): DataFrame = {
+    val c = count(lit(1)).over(Window.partitionBy("sp", "ep"))
+    def share(node: Column, twice: Column) = struct(node as "node", twice as "twice")
+    wedges(edges).withColumn("c", c)
+      .select(explode(array(
+        share(col("sp"), col("c") - 1),
+        share(col("ep"), col("c") - 1),
+        share(col("mp"), (col("c") - 1) * 2),
+        share(lit(WedgeRowsNode), lit(2L)))) as "s")
+      .groupBy(col("s.node") as "node")
+      .agg(shiftright(sum(col("s.twice")), 1) as "cnt")
       .where(col("cnt") > 0)
   }
 
-  /** Collected per-vertex counts for both sides plus the wedge-row metric
-    * (the dataflow analogue of Λ^pvBcnt: rows produced by the wedge join).
+  /** Per-vertex counts for both sides, collected by one Spark job, with the
+    * wedge rows as the wedge metric (the dataflow analogue of Λ^pvBcnt:
+    * rows produced by the wedge join).
     */
-  def perVertex(spark: SparkSession, edges: DataFrame, nU: Int, nV: Int): Result = {
-    val w = wedges(edges).cache()
-    val wedgeRows = w.count()
+  def perVertex(edges: DataFrame, nU: Int, nV: Int): ButterflyCounts = {
     val cntU = new Array[Long](nU)
     val cntV = new Array[Long](nV)
-    countsOf(w).collect().foreach { r =>
+    var wedgeRows = 0L
+    aggregate(edges).collect().foreach { r =>
       val node = r.getLong(0)
-      val cnt = BipartiteDF.longAt(r, 1)
-      if (node % 2 == 0) cntU((node / 2).toInt) = cnt else cntV(((node - 1) / 2).toInt) = cnt
+      val cnt = r.getLong(1)
+      if (node == WedgeRowsNode) wedgeRows = cnt
+      else if (node % 2 == 0) cntU((node / 2).toInt) = cnt
+      else cntV(((node - 1) / 2).toInt) = cnt
     }
-    w.unpersist()
-    Result(cntU, cntV, wedgeRows)
+    ButterflyCounts(cntU, cntV, wedgeRows)
   }
 }

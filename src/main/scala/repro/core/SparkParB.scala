@@ -32,7 +32,7 @@ object SparkParB {
     SparkPeel.withLiveEdges(spark, edgesIn) { live =>
       val g = BipartiteDF.toLocal(live.edges0, nU, nV)
       val st = new PeelState(g, enableDGM = false) // driver support bookkeeping
-      st.setSupports(SparkButterfly.perVertex(spark, live.edges0, nU, nV).cntU)
+      st.setSupports(SparkButterfly.perVertex(live.edges0, nU, nV).cntU)
 
       val r = ParB.peel(st, SparkPeel.peelRound(st, live, _, _),
         rounds => elapsedMs < budgetMs && rounds < maxRounds)

@@ -15,30 +15,23 @@ object SparkPeel {
   /** Live edges are checkpointed every this many rounds to cut lineage. */
   val CheckpointEvery = 8
 
-  /** Runs `body` on the live edges of `edgesIn` (see [[LiveEdges]]) with
-    * narrow shuffles and adaptive execution off: peeling runs many small
-    * iterative jobs, for which wide shuffles and re-planning are pure
-    * overhead. Afterwards releases everything the live edges cached and
-    * restores both settings.
+  /** Runs `body` on the live edges of `edgesIn` (see [[LiveEdges]]) in a
+    * session of its own (`spark.newSession()`: same SparkContext and cache,
+    * own SQL conf) with narrow shuffles and adaptive execution off: peeling
+    * runs many small iterative jobs, for which wide shuffles and re-planning
+    * are pure overhead. The caller's session conf is never touched, so
+    * several runs can share one session, concurrently too. Afterwards
+    * releases everything the live edges cached.
     */
   def withLiveEdges[A](spark: SparkSession, edgesIn: DataFrame)(body: LiveEdges => A): A = {
-    val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    val prevAqe = spark.conf.get("spark.sql.adaptive.enabled")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark.conf.set("spark.sql.adaptive.enabled", "false")
-    try {
-      val live = new LiveEdges(BipartiteDF.canonical(edgesIn))
-      try body(live) finally live.release()
-    } finally {
-      spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
-      spark.conf.set("spark.sql.adaptive.enabled", prevAqe)
-    }
-  }
-
-  /** A vertex batch as a one-column `u` DataFrame (a join key set). */
-  def vertexSet(spark: SparkSession, us: Array[Int]): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(us.map(_.toLong).toSeq).toDF("u")
+    val session = spark.newSession()
+    session.conf.set("spark.sql.shuffle.partitions", "8")
+    session.conf.set("spark.sql.adaptive.enabled", "false")
+    // Queries plan under the session of their leftmost input, so the input
+    // is rebound to the engine's session before anything is built on it.
+    val uv = edgesIn.select("u", "v")
+    val live = new LiveEdges(BipartiteDF.canonical(session.createDataFrame(uv.rdd, uv.schema)))
+    try body(live) finally live.release()
   }
 
   /** One peel round of `batch` (already marked peeled in `st`), as one
@@ -50,21 +43,21 @@ object SparkPeel {
     * the distinct live vertices whose support changed.
     */
   def peelRound(st: PeelState, live: LiveEdges, batch: Array[Int], capFloor: Long): (Long, Array[Int]) = {
-    val peeled = vertexSet(live.edges0.sparkSession, batch)
+    val peeled = live.vertexSet(batch)
     val edges = live.cur
     val updates = edges.join(peeled, "u").select(col("u") as "pu", col("v"))
       .join(edges.select(col("u") as "u2", col("v")), "v")
       .where(col("u2") =!= col("pu"))
       .groupBy("pu", "u2").agg(count(lit(1)) as "c")
       .groupBy("u2")
-      .agg(sum(col("c") * (col("c") - 1) / 2) as "dec", sum(col("c")) as "wsum")
+      .agg(sum(BipartiteDF.choose2(col("c"))) as "dec", sum(col("c")) as "wsum")
       .collect()
     var wedges = 0L
     val touched = scala.collection.mutable.ArrayBuffer[Int]()
     updates.foreach { r =>
       val u2 = r.getLong(0).toInt
-      val dec = BipartiteDF.longAt(r, 1)
-      wedges += BipartiteDF.longAt(r, 2)
+      val dec = r.getLong(1)
+      wedges += r.getLong(2)
       if (st.alive(u2) && dec > 0) {
         val cur = st.sup.get(u2)
         val next = math.max(capFloor, cur - dec)
@@ -76,7 +69,7 @@ object SparkPeel {
   }
 
   /** The live edge set of an iterative peel, starting from the full edge
-    * set `edges0`, which is cached and counted on construction. Each
+    * set `edges0`, which is cached (filled by its first reader). Each
     * [[drop]] anti-joins a peeled batch out; the new generation is cached
     * (materialized by the next round's job), and every
     * [[CheckpointEvery]]+1-th one is eagerly checkpointed instead, after
@@ -86,7 +79,15 @@ object SparkPeel {
     */
   final class LiveEdges private[SparkPeel] (edges: DataFrame) {
     val edges0: DataFrame = edges.cache()
-    edges0.count()
+
+    /** A vertex batch as a one-column `u` DataFrame (a join key set), in
+      * the run's session like every DataFrame of the run.
+      */
+    def vertexSet(us: Array[Int]): DataFrame = {
+      val spark = edges0.sparkSession
+      import spark.implicits._
+      spark.createDataset(us.map(_.toLong).toSeq).toDF("u")
+    }
 
     private var current = edges0
     private var sinceCheckpoint = 0

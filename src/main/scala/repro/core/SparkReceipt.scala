@@ -48,7 +48,7 @@ object SparkReceipt {
 
     // ---- initial counting (Spark dataflow) ----
     val tCnt0 = System.nanoTime()
-    val counts = SparkButterfly.perVertex(spark, live.edges0, nU, nV)
+    val counts = SparkButterfly.perVertex(live.edges0, nU, nV)
     st.setSupports(counts.cntU)
     val cntTimeMs = (System.nanoTime() - tCnt0) / 1e6
 
@@ -58,12 +58,12 @@ object SparkReceipt {
       def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) =
         SparkPeel.peelRound(st, live, batch, capFloor)
       def recount(removed: Array[Int]): (Array[Long], Long) = {
-        live.drop(SparkPeel.vertexSet(spark, removed))
-        val rc = SparkButterfly.perVertex(spark, live.cur, nU, nV)
-        (rc.cntU, rc.wedgeRows)
+        live.drop(live.vertexSet(removed))
+        val rc = SparkButterfly.perVertex(live.cur, nU, nV)
+        (rc.cntU, rc.wedges)
       }
     }
-    val cd = ReceiptLocal.coarseDecomposition(st, cfg.P, cfg.enableHUC, counts.wedgeRows, cntTimeMs, rounds)
+    val cd = ReceiptLocal.coarseDecomposition(st, cfg.P, cfg.enableHUC, counts.wedges, cntTimeMs, rounds)
     val tCd1 = System.nanoTime()
 
     // ---- Fine-grained Decomposition: one Spark task per subset ----

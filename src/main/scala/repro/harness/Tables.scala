@@ -39,11 +39,11 @@ object Tables {
     "| Dataset | |U| | |V| | |E| | d_U / d_V | ⋈_G | ∧_G | θmax_U | θmax_V |\n" +
     "|---|---|---|---|---|---|---|---|---|"
 
-  def table2Row(cfg: DatasetConfig, threads: Int = DefaultThreads): Table2Row = {
+  def table2Row(cfg: DatasetConfig): Table2Row = {
     val g = BipartiteGen.generate(cfg)
-    val counts = ButterflyCounting.vertexPriority(g, threads)
-    val recU = ReceiptLocal.run(g, ReceiptLocal.Config(P = DefaultP, threads = threads))
-    val recV = ReceiptLocal.run(g.transpose, ReceiptLocal.Config(P = DefaultP, threads = threads))
+    val counts = ButterflyCounting.vertexPriority(g, DefaultThreads)
+    val recU = ReceiptLocal.run(g, ReceiptLocal.Config(P = DefaultP, threads = DefaultThreads))
+    val recV = ReceiptLocal.run(g.transpose, ReceiptLocal.Config(P = DefaultP, threads = DefaultThreads))
     Table2Row(
       cfg.name, g.nU, g.nV, g.m,
       g.m.toDouble / g.nU, g.m.toDouble / g.nV,
@@ -85,35 +85,28 @@ object Tables {
     * decomposing V is decomposing U of the transposed graph, exactly as the
     * paper suffixes its dataset names.
     */
-  def table3Row(spark: SparkSession, cfg: DatasetConfig, side: String,
-                p: Int = DefaultP, threads: Int = DefaultThreads,
-                runSpark: Boolean = true): Table3Row = {
+  def table3Row(spark: SparkSession, cfg: DatasetConfig, side: String): Table3Row = {
     val g0 = BipartiteGen.generate(cfg)
     val g = if (side == "U") g0 else g0.transpose
     val name = cfg.name + side
 
-    val bup = BUP.run(g, countThreads = 1)
-    val parb = ParB.run(g, threads)
-    val rec = ReceiptLocal.run(g, ReceiptLocal.Config(P = p, threads = threads))
+    val bup = BUP.run(g)
+    val parb = ParB.run(g, DefaultThreads)
+    val rec = ReceiptLocal.run(g, ReceiptLocal.Config(P = DefaultP, threads = DefaultThreads))
     require(bup.tips.toSeq == parb.tips.toSeq, s"$name: ParB tips diverge from BUP")
     require(bup.tips.toSeq == rec.tips.toSeq, s"$name: RECEIPT tips diverge from BUP")
 
-    val (sparkMs, sparkW, sparkRho, parbSparkMs, parbSparkDone) =
-      if (!runSpark) (0.0, 0L, 0L, 0.0, false)
-      else {
-        val df = BipartiteGen.edgesDF(spark, BipartiteGen.generate(cfg))
-        val edges = if (side == "U") df else BipartiteDF.transposed(df)
-        val sr = SparkReceipt.run(spark, edges, g.nU, g.nV, SparkReceipt.Config(P = p))
-        require(sr.tips.toSeq == bup.tips.toSeq, s"$name: Spark RECEIPT tips diverge from BUP")
-        // The dataflow baseline gets a fixed budget; on any non-trivial side
-        // its per-round barrier cost makes it DNF, mirroring the paper's
-        // `∞` / `-` baseline entries.
-        val pb = SparkParB.run(spark, edges, g.nU, g.nV,
-          budgetMs = sys.env.getOrElse("PARB_SPARK_BUDGET_MS", "60000").toLong)
-        if (pb.finished)
-          require(pb.tips.toSeq == bup.tips.toSeq, s"$name: Spark ParB tips diverge from BUP")
-        (sr.metrics.totalTimeMs, sr.metrics.totalWedges, sr.metrics.rounds, pb.elapsedMs, pb.finished)
-      }
+    val df = BipartiteGen.edgesDF(spark, g0)
+    val edges = if (side == "U") df else BipartiteDF.transposed(df)
+    val sr = SparkReceipt.run(spark, edges, g.nU, g.nV, SparkReceipt.Config(P = DefaultP))
+    require(sr.tips.toSeq == bup.tips.toSeq, s"$name: Spark RECEIPT tips diverge from BUP")
+    // The dataflow baseline gets a fixed budget; on any non-trivial side
+    // its per-round barrier cost makes it DNF, mirroring the paper's
+    // `∞` / `-` baseline entries.
+    val pb = SparkParB.run(spark, edges, g.nU, g.nV,
+      budgetMs = sys.env.getOrElse("PARB_SPARK_BUDGET_MS", "60000").toLong)
+    if (pb.finished)
+      require(pb.tips.toSeq == bup.tips.toSeq, s"$name: Spark ParB tips diverge from BUP")
 
     Table3Row(
       dataset = name,
@@ -121,16 +114,16 @@ object Tables {
       tBupMs = bup.metrics.peelTimeMs,
       tParBMs = parb.metrics.peelTimeMs,
       tReceiptMs = rec.metrics.totalTimeMs,
-      tReceiptSparkMs = sparkMs,
-      tParBSparkMs = parbSparkMs,
-      parBSparkFinished = parbSparkDone,
+      tReceiptSparkMs = sr.metrics.totalTimeMs,
+      tParBSparkMs = pb.elapsedMs,
+      parBSparkFinished = pb.finished,
       wPvBcnt = bup.metrics.cntWedges,
       wBup = bup.metrics.totalWedges,
       wReceipt = rec.metrics.totalWedges,
-      wReceiptSpark = sparkW,
+      wReceiptSpark = sr.metrics.totalWedges,
       rhoParB = parb.metrics.rounds,
       rhoReceipt = rec.metrics.rounds,
-      rhoReceiptSpark = sparkRho
+      rhoReceiptSpark = sr.metrics.rounds
     )
   }
 }

@@ -22,16 +22,22 @@ class BipartiteDFSpec extends SparkSpec {
     for (v <- 0 until g.nV if g.degV(v) > 0) assert(dv(v.toLong) == g.degV(v))
   }
 
+  /** Σ_v C(d_v, 2) over the edge set: wedges with both endpoints in U. */
+  private def wedgesEndpointsU(edges: org.apache.spark.sql.DataFrame): Long =
+    BipartiteDF.degreesV(edges).agg(sum(BipartiteDF.choose2(col("dv")))).collect()(0).getLong(0)
+
   test("wedgesEndpointsU matches Σ_v C(d_v,2)") {
     val (g, df) = BipartiteGen.randomWithDF(spark, 50, 35, 400, seed = 2)
-    assert(BipartiteDF.wedgesEndpointsU(df) == g.wedgesEndpointsU)
+    assert(wedgesEndpointsU(df) == g.wedgesEndpointsU)
   }
 
   test("toLocal round-trips the edge set") {
     val (g, df) = BipartiteGen.randomWithDF(spark, 30, 20, 200, seed = 3)
-    val back = BipartiteDF.toLocal(df, g.nU, g.nV)
-    assert(back.m == g.m)
-    for (u <- 0 until g.nU) assert(back.degU(u) == g.degU(u))
+    for (edges <- Seq(df, df.union(df))) { // duplicates are dropped
+      val back = BipartiteDF.toLocal(edges, g.nU, g.nV)
+      assert(back.m == g.m)
+      for (u <- 0 until g.nU) assert(back.degU(u) == g.degU(u))
+    }
   }
 
   test("toLocal rejects edge ids outside [0, nU) x [0, nV)") {
@@ -46,7 +52,7 @@ class BipartiteDFSpec extends SparkSpec {
   test("transposed swaps columns") {
     val (g, df) = BipartiteGen.randomWithDF(spark, 20, 15, 100, seed = 4)
     val t = BipartiteDF.transposed(df)
-    assert(BipartiteDF.wedgesEndpointsU(t) == g.wedgesEndpointsV)
+    assert(wedgesEndpointsU(t) == g.wedgesEndpointsV)
   }
 
   test("generator: dataset configs produce graphs of the advertised shape") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.{BipartiteGen, Oracle, ReferenceCounts, SparkSpec}
 import repro.bipartite.{BipartiteGraph, ButterflyCounting}
 
@@ -49,14 +50,14 @@ class SparkButterflySpec extends SparkSpec {
     test(s"Spark counts equal the local vertex-priority kernel (seed=$seed)") {
       val (g, df) = BipartiteGen.randomWithDF(spark, 80 + 10 * seed, 60, 800, seed)
       val local = ButterflyCounting.vertexPriority(g)
-      val distd = SparkButterfly.perVertex(spark, df, g.nU, g.nV)
+      val distd = SparkButterfly.perVertex(df, g.nU, g.nV)
       assert(distd.cntU.toSeq == local.cntU.toSeq, s"U seed=$seed")
       assert(distd.cntV.toSeq == local.cntV.toSeq, s"V seed=$seed")
     }
 
   test("K_{3,4}: closed-form per-vertex counts") {
     val g = BipartiteGraph.complete(3, 4)
-    val r = SparkButterfly.perVertex(spark, BipartiteGen.edgesDF(spark, g), 3, 4)
+    val r = SparkButterfly.perVertex(BipartiteGen.edgesDF(spark, g), 3, 4)
     assert(r.cntU.forall(_ == 2L * 6), "U side: (a-1)*C(b,2) = 12")
     assert(r.cntV.forall(_ == 3L * 3), "V side: (b-1)*C(a,2) = 9")
     assert(r.totalButterflies == 18L)
@@ -64,26 +65,40 @@ class SparkButterflySpec extends SparkSpec {
 
   test("butterfly-free graphs count to zero") {
     val star = BipartiteGraph.fromEdges(5, 1, (0 until 5).map(u => (u, 0)))
-    val r = SparkButterfly.perVertex(spark, BipartiteGen.edgesDF(spark, star), 5, 1)
+    val r = SparkButterfly.perVertex(BipartiteGen.edgesDF(spark, star), 5, 1)
     assert(r.cntU.forall(_ == 0) && r.cntV.forall(_ == 0))
   }
 
   test("wedge-row metric respects the Chiba–Nishizeki bound") {
     val (g, df) = BipartiteGen.randomWithDF(spark, 70, 50, 600, seed = 2)
-    val r = SparkButterfly.perVertex(spark, df, g.nU, g.nV)
-    assert(r.wedgeRows <= 2 * g.countCost)
+    val r = SparkButterfly.perVertex(df, g.nU, g.nV)
+    assert(r.wedges <= 2 * g.countCost)
     // The traversed wedge *sets* depend on the tie-break order among
     // equal-degree vertices (local ranks by CSR id, the dataflow by
     // combined id), so totals agree only to within the bound — the
     // counts themselves are checked exactly in the tests above.
     val local = ButterflyCounting.vertexPriority(g)
-    assert(r.wedgeRows > 0 && local.wedges > 0)
+    assert(r.wedges > 0 && local.wedges > 0)
+  }
+
+  test("countsDF counts are exact longs") {
+    val (_, df) = BipartiteGen.randomWithDF(spark, 30, 20, 150, seed = 1)
+    assert(SparkButterfly.countsDF(df).schema("cnt").dataType == LongType)
+  }
+
+  test("perVertex in a run's session is one Spark job") {
+    val (g, df) = BipartiteGen.randomWithDF(spark, 70, 50, 600, seed = 2)
+    val (r, jobs) = SparkPeel.withLiveEdges(spark, df) { live =>
+      JobLog(spark)(SparkButterfly.perVertex(live.edges0, g.nU, g.nV))
+    }
+    assert(jobs.size == 1, s"jobs=${jobs.size}")
+    assert(r.cntU.toSeq == ButterflyCounting.vertexPriority(g).cntU.toSeq)
   }
 
   test("counting a transposed edge set swaps the sides") {
     val (g, df) = BipartiteGen.randomWithDF(spark, 40, 30, 300, seed = 4)
-    val r = SparkButterfly.perVertex(spark, df, g.nU, g.nV)
-    val t = SparkButterfly.perVertex(spark, BipartiteDF.transposed(df), g.nV, g.nU)
+    val r = SparkButterfly.perVertex(df, g.nU, g.nV)
+    val t = SparkButterfly.perVertex(BipartiteDF.transposed(df), g.nV, g.nU)
     assert(t.cntU.toSeq == r.cntV.toSeq)
     assert(t.cntV.toSeq == r.cntU.toSeq)
   }

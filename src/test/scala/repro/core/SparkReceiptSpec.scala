@@ -151,4 +151,37 @@ class SparkReceiptSpec extends SparkSpec {
       assert(sc.getPersistentRDDs.size == before.size)
     }
   }
+
+  test("a run never changes the caller's session conf, at any job start") {
+    val (g, df) = BipartiteGen.randomWithDF(spark, 60, 40, 500, seed = 5)
+    val conf0 = (spark.conf.get("spark.sql.shuffle.partitions"), spark.conf.get("spark.sql.adaptive.enabled"))
+    val ((rec, pb), confs) = JobLog(spark) {
+      (SparkReceipt.run(spark, df, g.nU, g.nV, cfg(4)),
+       SparkParB.run(spark, df, g.nU, g.nV, budgetMs = 600000, maxRounds = 3))
+    }
+    assert(rec.tips.toSeq == BUP.run(g).tips.toSeq && pb.rounds == 3)
+    assert(confs.nonEmpty)
+    assert(confs.forall(_ == conf0), s"caller's (shuffle partitions, AQE) seen: ${confs.distinct} vs $conf0")
+  }
+
+  test("two concurrent runs on one session give the tips of sequential runs") {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    val a = BipartiteGen.randomWithDF(spark, 100, 70, 1000, seed = 11)
+    val hub = hubGraph(3)
+    val inputs = Seq(a, a, (hub, BipartiteGen.edgesDF(spark, hub)))
+    def run(in: (BipartiteGraph, org.apache.spark.sql.DataFrame)): Seq[Long] =
+      SparkReceipt.run(spark, in._2, in._1.nU, in._1.nV, cfg(4)).tips.toSeq
+    val sequential = inputs.map(run)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val shuffle0 = spark.conf.get("spark.sql.shuffle.partitions")
+    for (pair <- Seq(Seq(0, 1), Seq(1, 2))) { // the same input twice, then two inputs
+      val concurrent = Await.result(Future.traverse(pair)(i => Future(run(inputs(i)))), 10.minutes)
+      assert(concurrent == pair.map(sequential))
+    }
+    assert(spark.conf.get("spark.sql.shuffle.partitions") == shuffle0)
+    assert(sc.getPersistentRDDs.keySet == before)
+  }
 }
