@@ -15,11 +15,14 @@ final case class ButterflyCounts(cntU: Array[Long], cntV: Array[Long], wedges: L
 
 /** Per-vertex butterfly counting.
   *
-  * `vertexPriority` implements the paper's alg. 1 (Chiba–Nishizeki wedge
-  * retrieval with the cache-efficient degree-descending relabeling of Wang et
-  * al.): only wedges `(sp, mp, ep)` whose endpoint `ep` has higher priority
-  * (larger degree) than both `sp` and `mp` are traversed, giving
-  * `O(Σ_{(u,v)∈E} min(d_u, d_v))` total wedges instead of `O(Σ_v d_v²)`.
+  * `vertexPriority` implements the paper's alg. 1: Chiba–Nishizeki wedge
+  * retrieval under the degree-descending vertex priority of Wang et al.
+  * Vertices keep their original ids and the inner loops look up each one's
+  * priority in `rank`; Wang et al.'s cache-efficient relabeling into rank
+  * order is not done. Only wedges `(sp, mp, ep)` whose endpoint `ep` has
+  * higher priority (larger degree) than both `sp` and `mp` are traversed,
+  * giving `O(Σ_{(u,v)∈E} min(d_u, d_v))` total wedges instead of
+  * `O(Σ_v d_v²)`.
   * A two-pass formulation replaces the `nzw` wedge log of the pseudocode so
   * no per-start-vertex wedge list is materialized.
   */
@@ -41,9 +44,11 @@ object ButterflyCounting {
     val off: Array[Int]   = new Array[Int](n + 1)
     val end: Array[Int]   = new Array[Int](n)
     val adj: Array[Int]   = new Array[Int](2 * g.m)
-    private val workers   = math.max(1, threads)
-    private val scratchW  = Array.fill(workers)(new Array[Int](n))
-    private val scratchZ  = Array.fill(workers)(new Array[Int](n))
+    private val scratchW  = Array.fill(threads)(new Array[Int](n))
+    private val scratchZ  = Array.fill(threads)(new Array[Int](n))
+    private val cnt       = new AtomicLongArray(n)
+    private val cntU      = new Array[Long](g.nU)
+    private val cntV      = new Array[Long](g.nV)
 
     {
       val deg = new Array[Int](n)
@@ -107,10 +112,15 @@ object ButterflyCounting {
     }
 
     /** Alg. 1 on the current lists; start vertices are claimed in chunks by
-      * up to `threads` tasks on `pool`.
+      * up to `threads` tasks on `pool`. The result's arrays are this
+      * structure's own, reused by every count: the next count overwrites
+      * them, so a caller that keeps counts across counts copies them
+      * (local CD copies each count into its `PeelState` at once;
+      * [[vertexPriority]] counts once and drops the structure).
       */
     def count(pool: WorkerPool): ButterflyCounts = {
-      val cnt = new AtomicLongArray(n)
+      var x = 0
+      while (x < n) { cnt.lazySet(x, 0L); x += 1 }
       val wedgesTotal = new AtomicLong(0L)
 
       def processRange(from: Int, until: Int, wdg: Array[Int], nze: Array[Int]): Long = {
@@ -176,11 +186,11 @@ object ButterflyCounting {
         wedges
       }
 
-      if (workers == 1 || n < 1024) wedgesTotal.set(processRange(0, n, scratchW(0), scratchZ(0)))
+      if (threads == 1 || n < 1024) wedgesTotal.set(processRange(0, n, scratchW(0), scratchZ(0)))
       else {
-        val chunk = math.max(1, n / (16 * workers))
+        val chunk = math.max(1, n / (16 * threads))
         val next = new AtomicInteger(0)
-        pool.run(workers) { t =>
+        pool.run(threads) { t =>
           var w = 0L
           var from = next.getAndAdd(chunk)
           while (from < n) {
@@ -191,10 +201,8 @@ object ButterflyCounting {
         }
       }
 
-      val cntU = new Array[Long](g.nU)
       var u = 0
       while (u < g.nU) { cntU(u) = cnt.get(u); u += 1 }
-      val cntV = new Array[Long](g.nV)
       var v = 0
       while (v < g.nV) { cntV(v) = cnt.get(g.nU + v); v += 1 }
       ButterflyCounts(cntU, cntV, wedgesTotal.get())

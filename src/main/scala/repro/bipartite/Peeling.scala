@@ -1,7 +1,6 @@
 package repro.bipartite
 
-import java.util.concurrent.atomic.{AtomicLong, AtomicLongArray}
-import scala.collection.mutable.ArrayBuffer
+import java.util.concurrent.atomic.AtomicLongArray
 
 /** Indexed binary min-heap over the ids `0 until n`, ordered by
   * `(key, id)`: at most one entry per id, whose key [[decrease]] lowers in
@@ -136,21 +135,6 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
     s
   }
 
-  /** Chiba–Nishizeki re-count bound on the live subgraph:
-    * Σ_{(u,v)∈E, u alive} min(d_u, curDeg_v). O(m) — call sparingly.
-    */
-  def recountCost: Long = {
-    var s = 0L; var u = 0
-    while (u < g.nU) {
-      if (alive(u)) {
-        val du = g.degU(u)
-        g.foreachNbrU(u)(v => s += math.min(du, curDegV(v)))
-      }
-      u += 1
-    }
-    s
-  }
-
   /** Mark `u` peeled: flips `alive`, decrements live V degrees and the live
     * count. Must happen for the whole batch before updates are issued, and
     * is only called from the sequential section of each round.
@@ -235,40 +219,74 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
 /** One synchronization round of batch peeling on a thread pool: alg. 2
   * `update` for every vertex of a batch, split into `pool.threads`
   * contiguous chunks with one barrier. Shared by ParB rounds and RECEIPT CD
-  * peel rounds. Per-thread scratch is allocated once per instance and
-  * reused by every round; the pool is the caller's.
+  * peel rounds. Per-thread scratch, each thread's touched buffer included,
+  * is allocated once per instance and reused by every round; the pool is
+  * the caller's.
   */
 final class BatchUpdate(st: PeelState, pool: WorkerPool) {
   private val threads = pool.threads
   private val scratchW = Array.fill(threads)(new Array[Int](st.g.nU))
   private val scratchT = Array.fill(threads)(new Array[Int](st.g.nU))
-  private val touchedFlag = new Array[Boolean](st.g.nU)
+  private val touched = Array.fill(threads)(new BatchUpdate.Touched(st.g.nU))
+  private val wedges = new Array[Long](threads)
 
   /** Updates for `batch`, already marked peeled, with decrements capped at
     * `capFloor`. Returns the wedges traversed and the distinct live vertices
-    * whose support changed.
+    * whose support changed, each at its first notification, threads in
+    * chunk order.
     */
   def apply(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = {
     val n = batch.length
-    val wedges = new AtomicLong(0L)
-    val perThreadTouched = Array.fill(threads)(new ArrayBuffer[Int]())
     val chunk = math.max(1, (n + threads - 1) / threads)
-    pool.run((n + chunk - 1) / chunk) { t =>
+    val tasks = (n + chunk - 1) / chunk
+    pool.run(tasks) { t =>
       val until = math.min(n, (t + 1) * chunk)
       var w = 0L
       var k = t * chunk
-      val buf = perThreadTouched(t)
       while (k < until) {
-        w += st.update(batch(k), capFloor, scratchW(t), scratchT(t), (u2, _) => buf += u2)
+        w += st.update(batch(k), capFloor, scratchW(t), scratchT(t), touched(t))
         k += 1
       }
-      wedges.addAndGet(w)
+      wedges(t) = w
     }
-    val touched = new ArrayBuffer[Int]()
-    perThreadTouched.foreach(_.foreach { u2 =>
-      if (!touchedFlag(u2) && st.alive(u2)) { touchedFlag(u2) = true; touched += u2 }
-    })
-    touched.foreach(touchedFlag(_) = false)
-    (wedges.get(), touched.toArray)
+    // merge into thread 0's buffer: it holds at most every live vertex once
+    val all = touched(0)
+    var w = 0L
+    var t = 0
+    while (t < tasks) {
+      w += wedges(t)
+      if (t > 0) {
+        val b = touched(t)
+        var k = 0
+        while (k < b.size) { all.add(b.ids(k)); k += 1 }
+        b.clear()
+      }
+      t += 1
+    }
+    val out = java.util.Arrays.copyOf(all.ids, all.size)
+    all.clear()
+    (w, out)
+  }
+}
+
+object BatchUpdate {
+  /** One thread's touched vertices, in first-notification order, each once;
+    * the `onUpdated` sink of [[PeelState.update]] (only live vertices are
+    * notified, so it holds at most `nU` ids).
+    */
+  private final class Touched(nU: Int) extends ((Int, Long) => Unit) {
+    private val seen = new Array[Boolean](nU)
+    val ids = new Array[Int](nU)
+    var size = 0
+
+    def apply(u: Int, sup: Long): Unit = add(u)
+
+    def add(u: Int): Unit = if (!seen(u)) { seen(u) = true; ids(size) = u; size += 1 }
+
+    def clear(): Unit = {
+      var k = 0
+      while (k < size) { seen(ids(k)) = false; k += 1 }
+      size = 0
+    }
   }
 }

@@ -111,7 +111,9 @@ object ReceiptLocal {
     * with threaded batch peel rounds and in-place re-counts of the live
     * graph. One rank-ordered [[ButterflyCounting.Combined]] serves the
     * initial count and every re-count (each first deletes the peeled U
-    * vertices from it), and one pool runs counts and peel rounds.
+    * vertices from it), and one pool runs counts and peel rounds. Each
+    * count lands in the structure's own arrays, which the next count
+    * overwrites; the driver copies it into `st` before that.
     */
   def coarseDecomposition(g: BipartiteGraph, cfg: Config): CDResult = {
     val pool = new WorkerPool(cfg.threads)
@@ -142,24 +144,52 @@ object ReceiptLocal {
     * support ranges. Each range comes from [[findHi]] with the two-way
     * adaptive target; each active set is either peeled or, under HUC when
     * its peel cost exceeds the re-count bound, dropped and re-counted.
+    *
+    * The driver keeps the live U ids in one ascending array, compacted at
+    * each range start and after each re-count, so every scan it makes (the
+    * active set, `⋈^init`, `findHi`'s input, the re-count's supports and
+    * bound) costs O(live) and its buffers are allocated once per call.
     */
   def coarseDecomposition(st: PeelState, P: Int, enableHUC: Boolean,
                           cntInitWedges: Long, cntTimeMs: Double, sub: CDRounds): CDResult = {
     val t0 = System.nanoTime()
-    val nU = st.g.nU
-    val w = st.g.wedgeEndpointCountU // static wedge-count proxy, per paper
-    val subsetOf = Array.fill(nU)(-1)
-    val supInit = new Array[Long](nU)
-    val loBuf = scala.collection.mutable.ArrayBuffer[Long]()
-    val hiBuf = scala.collection.mutable.ArrayBuffer[Long]()
-    val swBuf = scala.collection.mutable.ArrayBuffer[Long]()
+    val g = st.g
+    val w = g.wedgeEndpointCountU // static wedge-count proxy, per paper
+    val subsetOf = Array.fill(g.nU)(-1)
+    val supInit = new Array[Long](g.nU)
+    val loBuf, hiBuf, swBuf = scala.collection.mutable.ArrayBuffer[Long]()
 
-    var hucWedges = 0L
-    var hucNs = 0L
-    var peelWedges = 0L
-    var rounds = 0L
+    val live = Array.range(0, g.nU)
+    var nLive = g.nU
+    def compactLive(): Unit = {
+      var n = 0; var k = 0
+      while (k < nLive) { if (st.alive(live(k))) { live(n) = live(k); n += 1 }; k += 1 }
+      nLive = n
+    }
+    compactLive()
+    // the vertices among `ids(0 until n)` with support below `hi`
+    val activeBuf = new Array[Int](g.nU)
+    def below(ids: Array[Int], n: Int, hi: Long): Array[Int] = {
+      var nA = 0; var k = 0
+      while (k < n) { if (st.sup.get(ids(k)) < hi) { activeBuf(nA) = ids(k); nA += 1 }; k += 1 }
+      java.util.Arrays.copyOf(activeBuf, nA)
+    }
+    // Chiba–Nishizeki re-count bound: Σ_{(u,v)∈E, u live} min(d_u, curDeg_v)
+    def recountCost(): Long = {
+      var s = 0L; var k = 0
+      while (k < nLive) {
+        val u = live(k); val du = g.degU(u)
+        var e = g.uOff(u)
+        while (e < g.uOff(u + 1)) { s += math.min(du, st.curDegV(g.uAdj(e))); e += 1 }
+        k += 1
+      }
+      s
+    }
+    val selSup, selW = new Array[Long](g.nU)
+
+    var hucWedges, hucNs, peelWedges, rounds = 0L
     var hucTriggers = 0
-    var cRcntCache = st.recountCost
+    var cRcntCache = recountCost()
 
     var lo = 0L
     var i = 0
@@ -167,26 +197,35 @@ object ReceiptLocal {
     var remainingWedges = w.sum
 
     while (st.aliveCount > 0) {
+      compactLive()
+      // ---- ⋈^init snapshot: support before any vertex of U_i is peeled ----
+      var k = 0
+      while (k < nLive) { supInit(live(k)) = st.sup.get(live(k)); k += 1 }
       // ---- range upper bound (findHi with two-way adaptive target) ----
       var tgt = 0L
       val hi =
         if (i >= P) Long.MaxValue // leftover subset U_{P+1}
         else {
           tgt = math.max(1L, (scale * remainingWedges / (P - i)).toLong)
-          findHi(st, w, tgt)
+          k = 0
+          while (k < nLive) { selSup(k) = supInit(live(k)); selW(k) = w(live(k)); k += 1 }
+          findHi(selSup, selW, nLive, tgt)
         }
-      // ---- ⋈^init snapshot: support before any vertex of U_i is peeled ----
-      var u = 0
-      while (u < nU) { if (st.alive(u)) supInit(u) = st.sup.get(u); u += 1 }
 
       var subsetW = 0L
-      var active = scanActive(st, hi)
+      var active = below(live, nLive, hi)
 
       while (active.nonEmpty) {
         // ---- HUC decision: substrate peel cost vs re-count bound ----
         var cPeel = 0L
-        if (enableHUC) active.foreach(u0 => cPeel += sub.peelCost(u0))
-        active.foreach { u0 => subsetOf(u0) = i; subsetW += w(u0); st.markPeeled(u0) }
+        k = 0
+        if (enableHUC) while (k < active.length) { cPeel += sub.peelCost(active(k)); k += 1 }
+        k = 0
+        while (k < active.length) {
+          val u0 = active(k)
+          subsetOf(u0) = i; subsetW += w(u0); st.markPeeled(u0)
+          k += 1
+        }
         rounds += 1
 
         if (enableHUC && cPeel > cRcntCache) {
@@ -194,18 +233,19 @@ object ReceiptLocal {
           val tRc0 = System.nanoTime()
           val (cnt, wedges) = sub.recount(active)
           hucNs += System.nanoTime() - tRc0
-          var u2 = 0
-          while (u2 < nU) { if (st.alive(u2)) st.sup.set(u2, cnt(u2)); u2 += 1 }
+          compactLive()
+          k = 0
+          while (k < nLive) { st.sup.set(live(k), cnt(live(k))); k += 1 }
           hucWedges += wedges
-          cRcntCache = st.recountCost
-          active = scanActive(st, hi)
+          cRcntCache = recountCost()
+          active = below(live, nLive, hi)
         } else {
           val (wedges, touched) = sub.peel(active, lo)
           peelWedges += wedges
           st.chargeWedges(wedges)
           // next active set: touched vertices now inside the range (every
           // other live vertex kept its support, which is ≥ hi)
-          active = touched.filter(st.sup.get(_) < hi)
+          active = below(touched, touched.length, hi)
         }
       }
 
@@ -224,35 +264,46 @@ object ReceiptLocal {
     )
   }
 
-  /** All live vertices with support below `hi` (supports are ≥ the current
-    * range floor by the cap invariant).
+  /** `findHi` of alg. 3 over `n` live vertices' supports `sup` and wedge
+    * counts `w ≥ 0` (both permuted in place): `θ + 1` for the smallest
+    * support θ whose cumulative wedge count, over supports ≤ θ, reaches
+    * `tgt ≥ 1`, or for the maximum support when the total is below `tgt`.
+    * A weighted quickselect with three-way partitions, O(n) expected; its
+    * random pivots change the time it takes, never its result.
     */
-  private def scanActive(st: PeelState, hi: Long): Array[Int] = {
-    val b = new scala.collection.mutable.ArrayBuffer[Int]()
-    var u = 0
-    while (u < st.g.nU) { if (st.alive(u) && st.sup.get(u) < hi) b += u; u += 1 }
-    b.toArray
+  private[bipartite] def findHi(sup: Array[Long], w: Array[Long], n: Int, tgt: Long): Long = {
+    var total = 0L
+    var max = Long.MinValue
+    var k = 0
+    while (k < n) { total += w(k); max = math.max(max, sup(k)); k += 1 }
+    if (total < tgt) max + 1
+    else {
+      // θ lies in sup(from until until), with `need` the wedge count it must
+      // still reach; that range's total is ≥ need ≥ 1 throughout
+      var from = 0; var until = n; var need = tgt
+      var theta = Long.MinValue; var found = false
+      val rnd = java.util.concurrent.ThreadLocalRandom.current()
+      while (!found) {
+        val p = sup(rnd.nextInt(from, until))
+        var lt = from; var j = from; var gt = until
+        var wLess = 0L; var wEq = 0L
+        while (j < gt) {
+          val s = sup(j)
+          if (s < p) { wLess += w(j); swap(sup, w, lt, j); lt += 1; j += 1 }
+          else if (s > p) { gt -= 1; swap(sup, w, j, gt) }
+          else { wEq += w(j); j += 1 }
+        }
+        if (wLess >= need) until = lt
+        else if (wLess + wEq >= need) { theta = p; found = true }
+        else { need -= wLess + wEq; from = gt }
+      }
+      theta + 1
+    }
   }
 
-  /** `findHi` of alg. 3: aggregate wedge counts into a support histogram,
-    * prefix-sum in ascending support order, return `θ + 1` for the smallest
-    * support θ whose cumulative wedge count reaches `tgt`.
-    */
-  private def findHi(st: PeelState, w: Array[Long], tgt: Long): Long = {
-    val pairs = new scala.collection.mutable.ArrayBuffer[(Long, Long)]()
-    var u = 0
-    while (u < st.g.nU) { if (st.alive(u)) pairs += ((st.sup.get(u), w(u))); u += 1 }
-    val sorted = pairs.sortBy(_._1)
-    var cum = 0L
-    var theta = sorted.last._1 // fall back to max support if tgt unreachable
-    var k = 0
-    var found = false
-    while (k < sorted.length && !found) {
-      cum += sorted(k)._2
-      if (cum >= tgt) { theta = sorted(k)._1; found = true }
-      k += 1
-    }
-    theta + 1
+  private def swap(sup: Array[Long], w: Array[Long], a: Int, b: Int): Unit = {
+    val s = sup(a); sup(a) = sup(b); sup(b) = s
+    val x = w(a); w(a) = w(b); w(b) = x
   }
 
   // ---------------------------------------------------------------- FD ----
@@ -296,7 +347,9 @@ object ReceiptLocal {
 
   /** Alg. 4 on any substrate: builds the [[fdTasks]], has `runTasks` return
     * each task's `(tips, wedges)` in task order, and returns every vertex's
-    * tip and the FD wedges.
+    * tip and the FD wedges. Checks lemmas 3 and 4 on the way out, in O(nU):
+    * a tip outside its subset's CD range `[lo, hi)` is a CD defect and
+    * throws instead of returning tips.
     */
   def fineDecomposition(g: BipartiteGraph, cd: CDResult)(
       runTasks: Array[FDTask] => Array[(Array[Long], Long)]): (Array[Long], Long) = {
@@ -304,6 +357,11 @@ object ReceiptLocal {
     val results = runTasks(tasks)
     val tips = Array.fill[Long](g.nU)(-1L)
     for (k <- tasks.indices; j <- tasks(k).members.indices) tips(tasks(k).members(j)) = results(k)._1(j)
+    for (u <- 0 until g.nU) {
+      val i = cd.subsetOf(u)
+      if (tips(u) < cd.lo(i) || tips(u) >= cd.hi(i)) throw new IllegalStateException(
+        s"CD defect: vertex $u of subset $i has tip ${tips(u)} outside [${cd.lo(i)}, ${cd.hi(i)}) (lemmas 3, 4)")
+    }
     (tips, results.map(_._2).sum)
   }
 }

@@ -8,10 +8,11 @@ import scala.jdk.CollectionConverters._
   * indexed tasks, started in index order (FIFO). [[run]] returns once every
   * task has finished, which orders the tasks' writes before the caller's
   * reads, and rethrows the first task failure; tasks not yet started by
-  * then are skipped.
+  * then are skipped. `threads < 1` is rejected here, once for every kernel.
   */
 final class WorkerPool(val threads: Int) extends AutoCloseable {
-  private val pool = Executors.newFixedThreadPool(math.max(1, threads))
+  require(threads >= 1, s"a worker pool needs threads >= 1, got $threads")
+  private val pool = Executors.newFixedThreadPool(threads)
 
   def run(n: Int)(task: Int => Unit): Unit = {
     val failure = new AtomicReference[Throwable]()
@@ -28,9 +29,11 @@ final class WorkerPool(val threads: Int) extends AutoCloseable {
 }
 
 object WorkerPool {
-  /** One batch on `min(threads, n)` workers, shut down however it ends. */
+  /** One batch on `min(threads, max(n, 1))` workers, shut down however it
+    * ends; an empty batch runs nothing.
+    */
   def run(threads: Int, n: Int)(task: Int => Unit): Unit = {
-    val pool = new WorkerPool(math.min(threads, n))
+    val pool = new WorkerPool(math.min(threads, math.max(n, 1)))
     try pool.run(n)(task) finally pool.close()
   }
 }

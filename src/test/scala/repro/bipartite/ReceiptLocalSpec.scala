@@ -205,6 +205,18 @@ class ReceiptLocalSpec extends AnyFunSuite {
     }
   }
 
+  test("FD throws on a tip outside its CD range instead of returning tips (lemmas 3, 4)") {
+    val g = BipartiteGraph.random(200, 150, 3000, seed = 41)
+    val cd = ReceiptLocal.coarseDecomposition(g, cfg(8))
+    assert(ReceiptLocal.fineDecomposition(g, cd, cfg(8))._1.toSeq == BUP.run(g).tips.toSeq)
+    // lower one non-empty subset's upper bound to its lower bound
+    val i = cd.subsetOf(0)
+    val e = intercept[IllegalStateException] {
+      ReceiptLocal.fineDecomposition(g, cd.copy(hi = cd.hi.updated(i, cd.lo(i))), cfg(8))
+    }
+    assert(e.getMessage.contains(s"subset $i"), e.getMessage)
+  }
+
   for (dgm <- Seq(false, true))
     test(s"the FD subset task on compact ids equals BUP.peel on the induced graph (DGM=$dgm)") {
       for (g <- Seq(BipartiteGraph.random(300, 200, 5000, seed = 7), hubGraph(3))) {

@@ -41,4 +41,29 @@ class WorkerPoolSpec extends AnyFunSuite {
       assert(out.toSeq == (0 until 10))
     } finally pool.close()
   }
+
+  test("threads < 1 is rejected up front, naming the value, on every kernel's path") {
+    val g = BipartiteGraph.random(40, 30, 300, seed = 2)
+    for (t <- Seq(0, -1)) {
+      val calls = Seq[(String, () => Any)](
+        "WorkerPool" -> (() => new WorkerPool(t)),
+        "WorkerPool.run" -> (() => WorkerPool.run(t, 5)(_ => ())),
+        "ReceiptLocal.run" -> (() => ReceiptLocal.run(g, ReceiptLocal.Config(threads = t))),
+        "ParB.run" -> (() => ParB.run(g, t)),
+        "vertexPriority" -> (() => ButterflyCounting.vertexPriority(g, t)))
+      for ((name, call) <- calls) {
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"got $t"), s"$name: ${e.getMessage}")
+      }
+    }
+  }
+
+  test("an empty batch runs nothing, whatever the thread count") {
+    for (t <- Seq(1, 4)) WorkerPool.run(t, 0)(_ => fail("no task expected"))
+    val pool = new WorkerPool(2)
+    try pool.run(0)(_ => fail("no task expected")) finally pool.close()
+    // FD on a graph without U vertices has no tasks
+    val r = ReceiptLocal.run(BipartiteGraph.fromEdges(0, 3, Nil), ReceiptLocal.Config(threads = 4))
+    assert(r.tips.isEmpty && r.cd.subsets == 0)
+  }
 }
