@@ -8,7 +8,7 @@ import repro.core.{BipartiteDF, SparkParB, SparkReceipt}
 
 /** Harness shared by the `jobs/` spark-submit entrypoints and the `bench/`
   * suites: computes the rows of the paper's evaluation tables on the
-  * synthetic "-lite" datasets.
+  * synthetic "-lite" datasets and renders each table as markdown.
   *
   * Table 2 — dataset statistics (|U|, |V|, |E|, average degrees, ⋈_G, Λ_G,
   * θ^max for both sides).
@@ -30,24 +30,29 @@ object Tables {
       dU: Double, dV: Double,
       butterflies: Long, wedgesU: Long, wedgesV: Long,
       thetaMaxU: Long, thetaMaxV: Long
-  ) {
-    def markdown: String =
-      f"| $name | $nU%,d | $nV%,d | $m%,d | $dU%.1f / $dV%.1f | $butterflies%,d | ${wedgesU + wedgesV}%,d | $thetaMaxU%,d | $thetaMaxV%,d |"
-  }
+  )
 
-  def table2Header: String =
-    "| Dataset | |U| | |V| | |E| | d_U / d_V | ⋈_G | ∧_G | θmax_U | θmax_V |\n" +
-    "|---|---|---|---|---|---|---|---|---|"
+  /** Table 2 as one markdown table, a row per dataset. */
+  def table2(rows: Seq[Table2Row]): String =
+    (Seq(
+      "| Dataset | \\|U\\| | \\|V\\| | \\|E\\| | d_U / d_V | ⋈_G | ∧_G | θmax_U | θmax_V |",
+      "|---|---|---|---|---|---|---|---|---|") ++
+    rows.map { r =>
+      import r._
+      f"| $name | $nU%,d | $nV%,d | $m%,d | $dU%.1f / $dV%.1f | $butterflies%,d | ${wedgesU + wedgesV}%,d | $thetaMaxU%,d | $thetaMaxV%,d |"
+    }).mkString("\n")
 
   def table2Row(cfg: DatasetConfig): Table2Row = {
     val g = BipartiteGen.generate(cfg)
     val counts = ButterflyCounting.vertexPriority(g, DefaultThreads)
     val recU = ReceiptLocal.run(g, ReceiptLocal.Config(P = DefaultP, threads = DefaultThreads))
     val recV = ReceiptLocal.run(g.transpose, ReceiptLocal.Config(P = DefaultP, threads = DefaultThreads))
+    // Σ_u w[u] counts every wedge with both endpoints in U twice (once per endpoint)
+    def wedges(h: BipartiteGraph) = h.wedgeEndpointCountU.sum / 2
     Table2Row(
       cfg.name, g.nU, g.nV, g.m,
       g.m.toDouble / g.nU, g.m.toDouble / g.nV,
-      counts.totalButterflies, g.wedgesEndpointsU, g.wedgesEndpointsV,
+      counts.totalButterflies, wedges(g), wedges(g.transpose),
       recU.tips.max, recV.tips.max
     )
   }
@@ -70,25 +75,38 @@ object Tables {
       rhoParB: Long,
       rhoReceipt: Long,
       rhoReceiptSpark: Long
-  ) {
-    private def parbSparkCell: String =
-      if (parBSparkFinished) f"${tParBSparkMs / 1000}%.1f" else "DNF"
-    def markdownTime: String =
-      f"| $dataset | ${tPvBcntMs / 1000}%.2f | ${tBupMs / 1000}%.1f | ${tParBMs / 1000}%.1f | ${tReceiptMs / 1000}%.1f | ${tReceiptSparkMs / 1000}%.1f | $parbSparkCell |"
-    def markdownWedges: String =
+  )
+
+  /** Table 3 as three markdown tables (t, Λ, ρ), a row per dataset side. */
+  def table3(rows: Seq[Table3Row]): String = {
+    def s(ms: Double) = ms / 1000
+    def table(title: String, header: String, row: Table3Row => String) =
+      Seq(title, header, header.replaceAll("[^|]+", "---")) ++ rows.map(row)
+    (table("t (s):", "| dataset | pvBcnt | BUP | ParB | RECEIPT | RECEIPT-Spark | ParB-Spark |", { r =>
+      import r._
+      val parbSpark = if (parBSparkFinished) f"${s(tParBSparkMs)}%.1f" else "DNF"
+      f"| $dataset | ${s(tPvBcntMs)}%.2f | ${s(tBupMs)}%.1f | ${s(tParBMs)}%.1f | ${s(tReceiptMs)}%.1f | ${s(tReceiptSparkMs)}%.1f | $parbSpark |"
+    }) ++ table("Λ (millions of wedges):", "| dataset | pvBcnt | BUP | RECEIPT | RECEIPT-Spark |", { r =>
+      import r._
       f"| $dataset | ${wPvBcnt / 1e6}%.1f | ${wBup / 1e6}%.1f | ${wReceipt / 1e6}%.1f | ${wReceiptSpark / 1e6}%.1f |"
-    def markdownRho: String =
+    }) ++ table("ρ (synchronization rounds):", "| dataset | ParB | RECEIPT | RECEIPT-Spark |", { r =>
+      import r._
       f"| $dataset | $rhoParB%,d | $rhoReceipt%,d | $rhoReceiptSpark%,d |"
+    })).mkString("\n")
   }
 
-  /** Run every engine on one side of one dataset. `side` is "U" or "V" —
-    * decomposing V is decomposing U of the transposed graph, exactly as the
-    * paper suffixes its dataset names.
+  /** Every Table 3 row: each dataset's name suffixed by the peeled side. */
+  def table3Tags: Seq[String] = BipartiteGen.datasets.flatMap(c => Seq(c.name + "U", c.name + "V"))
+
+  /** Run every engine on one side of one dataset, named by its row tag
+    * (`ItU`, `TrV`, …). Decomposing V is decomposing U of the transposed
+    * graph, exactly as the paper suffixes its dataset names.
     */
-  def table3Row(spark: SparkSession, cfg: DatasetConfig, side: String): Table3Row = {
-    val g0 = BipartiteGen.generate(cfg)
+  def table3Row(spark: SparkSession, name: String): Table3Row = {
+    val side = name.takeRight(1)
+    require(side == "U" || side == "V", s"$name: a row tag ends in U or V")
+    val g0 = BipartiteGen.generate(BipartiteGen.byName(name.dropRight(1)))
     val g = if (side == "U") g0 else g0.transpose
-    val name = cfg.name + side
 
     val bup = BUP.run(g)
     val parb = ParB.run(g, DefaultThreads)

@@ -13,12 +13,11 @@ import repro.harness.Tables
   */
 class Table2Bench extends AnyFunSuite {
 
-  private lazy val rows = BipartiteGen.datasets.map(cfg => Tables.table2Row(cfg))
+  private lazy val rows = BipartiteGen.datasets.map(Tables.table2Row)
 
   test("Table 2: dataset statistics") {
     println("\n==== Table 2 (reproduction) ====")
-    println(Tables.table2Header)
-    rows.foreach(r => println(r.markdown))
+    println(Tables.table2(rows))
   }
 
   test("Table 2 shape: U is always the higher-wedge side (paper labelling)") {

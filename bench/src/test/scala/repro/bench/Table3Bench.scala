@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.{BipartiteGen, SparkSpec}
+import repro.SparkSpec
 import repro.harness.Tables
 import repro.harness.Tables.Table3Row
 
@@ -27,11 +27,10 @@ class Table3Bench extends SparkSpec {
   private lazy val rows: Seq[Table3Row] = {
     val tags = sys.env.get("TABLE3_ROWS") match {
       case Some(s) => s.split(",").toSeq.map(_.trim).filter(_.nonEmpty)
-      case None    => BipartiteGen.datasets.flatMap(c => Seq(c.name + "U", c.name + "V"))
+      case None    => Tables.table3Tags
     }
     tags.map { tag =>
-      val (name, side) = (tag.dropRight(1), tag.takeRight(1))
-      val r = Tables.table3Row(spark, BipartiteGen.byName(name), side)
+      val r = Tables.table3Row(spark, tag)
       println(s"[table3] finished $tag")
       r
     }
@@ -39,18 +38,7 @@ class Table3Bench extends SparkSpec {
 
   test("Table 3: t / Λ / ρ for all engines") {
     println("\n==== Table 3 (reproduction) ====")
-    println("t (s):")
-    println("| dataset | pvBcnt | BUP | ParB | RECEIPT | RECEIPT-Spark | ParB-Spark |")
-    println("|---|---|---|---|---|---|---|")
-    rows.foreach(r => println(r.markdownTime))
-    println("Λ (millions of wedges):")
-    println("| dataset | pvBcnt | BUP | RECEIPT | RECEIPT-Spark |")
-    println("|---|---|---|---|---|")
-    rows.foreach(r => println(r.markdownWedges))
-    println("ρ (synchronization rounds):")
-    println("| dataset | ParB | RECEIPT | RECEIPT-Spark |")
-    println("|---|---|---|---|")
-    rows.foreach(r => println(r.markdownRho))
+    println(Tables.table3(rows))
   }
 
   test("shape: RECEIPT traverses fewer wedges than BUP on every row") {

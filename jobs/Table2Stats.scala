@@ -13,9 +13,6 @@ object Table2Stats {
     val cfgs =
       if (args.isEmpty) BipartiteGen.datasets
       else args.toSeq.map(BipartiteGen.byName)
-    println(Tables.table2Header)
-    cfgs.foreach { cfg =>
-      println(Tables.table2Row(cfg).markdown)
-    }
+    println(Tables.table2(cfgs.map(Tables.table2Row)))
   }
 }

@@ -108,10 +108,4 @@ object BipartiteGen {
     }
     spark.createDataset(rows.toSeq).toDF("u", "v")
   }
-
-  /** Small random graph + DF pair for tests. */
-  def randomWithDF(spark: SparkSession, nU: Int, nV: Int, m: Int, seed: Long): (BipartiteGraph, DataFrame) = {
-    val g = BipartiteGraph.random(nU, nV, m, seed)
-    (g, edgesDF(spark, g))
-  }
 }

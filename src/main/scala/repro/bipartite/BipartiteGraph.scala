@@ -33,38 +33,6 @@ final class BipartiteGraph(
     while (i < uOff(u + 1)) { f(uAdj(i)); i += 1 }
   }
 
-  /** Iterate neighbours of `v` ∈ V, calling `f` for each `u`. */
-  @inline def foreachNbrV(v: Int)(f: Int => Unit): Unit = {
-    var i = vOff(v)
-    while (i < vOff(v + 1)) { f(vAdj(i)); i += 1 }
-  }
-
-  /** Edge list as packed longs `(u.toLong << 32) | v`, in CSR order. */
-  def packedEdges: Array[Long] = {
-    val out = new Array[Long](m)
-    var u = 0; var k = 0
-    while (u < nU) {
-      var i = uOff(u)
-      while (i < uOff(u + 1)) { out(k) = (u.toLong << 32) | (uAdj(i) & 0xffffffffL); k += 1; i += 1 }
-      u += 1
-    }
-    out
-  }
-
-  /** Number of wedges with both endpoints in U: Σ_v C(d_v, 2). */
-  def wedgesEndpointsU: Long = {
-    var s = 0L; var v = 0
-    while (v < nV) { val d = degV(v).toLong; s += d * (d - 1) / 2; v += 1 }
-    s
-  }
-
-  /** Number of wedges with both endpoints in V: Σ_u C(d_u, 2). */
-  def wedgesEndpointsV: Long = {
-    var s = 0L; var u = 0
-    while (u < nU) { val d = degU(u).toLong; s += d * (d - 1) / 2; u += 1 }
-    s
-  }
-
   /** Per-vertex wedge counts `w[u]` = wedges of G with endpoint `u` ∈ U,
     * i.e. Σ_{v∈N_u} (d_v - 1). Used by RECEIPT CD range determination.
     */
@@ -127,15 +95,6 @@ final class BipartiteGraph(
 
 object BipartiteGraph {
 
-  /** Build from an edge sequence, deduplicating. */
-  def fromEdges(nU: Int, nV: Int, edges: Iterable[(Int, Int)]): BipartiteGraph = {
-    val packed = edges.iterator.map { case (u, v) =>
-      require(u >= 0 && u < nU && v >= 0 && v < nV, s"edge ($u,$v) out of range ($nU,$nV)")
-      (u.toLong << 32) | (v & 0xffffffffL)
-    }.toArray
-    fromPacked(nU, nV, packed, dedup = true)
-  }
-
   /** Build from packed `(u << 32 | v)` edges. */
   def fromPacked(nU: Int, nV: Int, packedIn: Array[Long], dedup: Boolean): BipartiteGraph = {
     val packed =
@@ -173,16 +132,5 @@ object BipartiteGraph {
       i += 1
     }
     new BipartiteGraph(nU, nV, uOff, uAdj, vOff, vAdj)
-  }
-
-  /** Complete bipartite graph K_{a,b} — handy in tests. */
-  def complete(a: Int, b: Int): BipartiteGraph =
-    fromEdges(a, b, for (u <- 0 until a; v <- 0 until b) yield (u, v))
-
-  /** Uniform random bipartite graph (deduplicated), deterministic in seed. */
-  def random(nU: Int, nV: Int, m: Int, seed: Long): BipartiteGraph = {
-    val rnd = new java.util.Random(seed)
-    val es  = Array.fill(m)(((rnd.nextInt(nU).toLong << 32) | rnd.nextInt(nV).toLong))
-    fromPacked(nU, nV, es, dedup = true)
   }
 }

@@ -49,9 +49,6 @@ object SparkButterfly {
       .select("sp", "mp", "ep")
   }
 
-  /** Per-vertex counts `(node, cnt)` in combined id space (non-zero only). */
-  def countsDF(edges: DataFrame): DataFrame = aggregate(edges).where(col("node") >= 0)
-
   /** Node id of the row of [[aggregate]] that counts the wedge rows. */
   private val WedgeRowsNode = -1L
 
@@ -62,7 +59,7 @@ object SparkButterfly {
     * to `mp` and 2 to the wedge-row total. Every sum is even and is halved
     * exactly, so the wedges are generated once and never joined back.
     */
-  private def aggregate(edges: DataFrame): DataFrame = {
+  private[repro] def aggregate(edges: DataFrame): DataFrame = {
     val c = count(lit(1)).over(Window.partitionBy("sp", "ep"))
     def share(node: Column, twice: Column) = struct(node as "node", twice as "twice")
     wedges(edges).withColumn("c", c)

@@ -3,6 +3,7 @@ package repro
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.bipartite.{BipartiteGraph, ButterflyCounts, Peeling}
+import repro.TestGraphs.GraphOps
 
 /** Definition-level butterfly counts that the tests compare the fast
   * counting kernels against.

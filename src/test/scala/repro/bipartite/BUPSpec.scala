@@ -1,44 +1,45 @@
 package repro.bipartite
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 
 class BUPSpec extends AnyFunSuite {
 
   test("K_{2,2}: every u has tip number 1") {
-    val r = BUP.run(BipartiteGraph.complete(2, 2))
+    val r = BUP.run(TestGraphs.complete(2, 2))
     assert(r.tips.toSeq == Seq(1L, 1L))
   }
 
   test("K_{3,3}: every u has tip number 6") {
     // each u participates in 2*C(3,2)=6 butterflies; the whole graph is a 6-tip
-    val r = BUP.run(BipartiteGraph.complete(3, 3))
+    val r = BUP.run(TestGraphs.complete(3, 3))
     assert(r.tips.toSeq == Seq(6L, 6L, 6L))
   }
 
   test("butterfly-free graphs decompose to all zeros") {
-    val star = BipartiteGraph.fromEdges(4, 1, (0 until 4).map(u => (u, 0)))
+    val star = TestGraphs.fromEdges(4, 1, (0 until 4).map(u => (u, 0)))
     assert(BUP.run(star).tips.forall(_ == 0L))
-    val cycle = BipartiteGraph.fromEdges(3, 3, Seq((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)))
+    val cycle = TestGraphs.fromEdges(3, 3, Seq((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)))
     assert(BUP.run(cycle).tips.forall(_ == 0L))
   }
 
   test("K_{2,3} plus pendant vertex: pendant peels at 0, clique at 3") {
     // u0,u1 form K_{2,3}; u2 attaches to a single v
     val es = Seq((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0))
-    val r = BUP.run(BipartiteGraph.fromEdges(3, 3, es))
+    val r = BUP.run(TestGraphs.fromEdges(3, 3, es))
     assert(r.tips.toSeq == Seq(3L, 3L, 0L))
   }
 
   test("two disjoint butterflies both get tip 1") {
     val es = Seq((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
-    val r = BUP.run(BipartiteGraph.fromEdges(4, 4, es))
+    val r = BUP.run(TestGraphs.fromEdges(4, 4, es))
     assert(r.tips.toSeq == Seq(1L, 1L, 1L, 1L))
   }
 
   test("hierarchy: dense K_{3,3} with a loosely attached vertex") {
     // u3 shares only v0,v1 with the clique: ⋈_{u3} = 3 * C(2,2) = 3
     val es = (for (u <- 0 until 3; v <- 0 until 3) yield (u, v)) :+ (3, 0) :+ (3, 1)
-    val r = BUP.run(BipartiteGraph.fromEdges(4, 3, es))
+    val r = BUP.run(TestGraphs.fromEdges(4, 3, es))
     assert(r.tips(3) == 3L)
     assert(r.tips.take(3).forall(_ == 6L)) // clique survives at its own level
   }
@@ -47,7 +48,7 @@ class BUPSpec extends AnyFunSuite {
     test(s"BUP matches the naive definition oracle (seed=$seed)") {
       val nU = 8 + seed
       val nV = 6 + (seed % 7)
-      val g = BipartiteGraph.random(nU, nV, 4 * (nU + nV), seed)
+      val g = TestGraphs.random(nU, nV, 4 * (nU + nV), seed)
       val fast = BUP.run(g).tips
       val slow = ReferenceTip.tipNumbers(g)
       assert(fast.toSeq == slow.toSeq, s"seed=$seed")
@@ -57,12 +58,12 @@ class BUPSpec extends AnyFunSuite {
     test(s"BUP matches oracle on dense skewed graphs (seed=$seed)") {
       val rnd = new java.util.Random(seed * 31 + 1)
       val es = (0 until 260).map(_ => (rnd.nextInt(14), if (rnd.nextDouble() < 0.6) rnd.nextInt(3) else rnd.nextInt(12)))
-      val g = BipartiteGraph.fromEdges(14, 12, es)
+      val g = TestGraphs.fromEdges(14, 12, es)
       assert(BUP.run(g).tips.toSeq == ReferenceTip.tipNumbers(g).toSeq)
     }
 
   test("tips are assigned in non-decreasing peel order (supports never dip below last tip)") {
-    val g = BipartiteGraph.random(60, 40, 500, seed = 42)
+    val g = TestGraphs.random(60, 40, 500, seed = 42)
     val counts = ButterflyCounting.vertexPriority(g)
     val r = BUP.peel(g, counts.cntU, Array.tabulate(g.nU)(identity), enableDGM = false)
     // every tip is between 0 and the vertex's initial butterfly count
@@ -72,7 +73,7 @@ class BUPSpec extends AnyFunSuite {
   }
 
   test("peel on an induced subset only assigns tips to members") {
-    val g = BipartiteGraph.random(30, 20, 200, seed = 1)
+    val g = TestGraphs.random(30, 20, 200, seed = 1)
     val members = Array(0, 5, 7, 9)
     val mask = new Array[Boolean](g.nU)
     members.foreach(mask(_) = true)
@@ -84,7 +85,7 @@ class BUPSpec extends AnyFunSuite {
   }
 
   test("DGM on/off yields identical tips for plain BUP peel") {
-    val g = BipartiteGraph.random(50, 40, 450, seed = 17)
+    val g = TestGraphs.random(50, 40, 450, seed = 17)
     val counts = ButterflyCounting.vertexPriority(g)
     val all = Array.tabulate(g.nU)(identity)
     val a = BUP.peel(g, counts.cntU, all, enableDGM = false)
@@ -94,13 +95,13 @@ class BUPSpec extends AnyFunSuite {
   }
 
   test("metrics: peel wedges equal the analytic Σ_u Σ_{v∈N_u} d_v without DGM") {
-    val g = BipartiteGraph.random(40, 30, 300, seed = 23)
+    val g = TestGraphs.random(40, 30, 300, seed = 23)
     val r = BUP.run(g)
     assert(r.metrics.peelWedges == g.peelCostU.sum)
   }
 
   test("BUP.peel equals the lazy-heap peel on tips and wedges, DGM on and off") {
-    for (seed <- 1 to 3; g <- Seq(BipartiteGraph.random(200, 120, 2500, seed), ReceiptLocalSpec.hubGraph(seed));
+    for (seed <- 1 to 3; g <- Seq(TestGraphs.random(200, 120, 2500, seed), ReceiptLocalSpec.hubGraph(seed));
          dgm <- Seq(false, true)) {
       val cnt = ButterflyCounting.vertexPriority(g).cntU
       val all = Array.range(0, g.nU)

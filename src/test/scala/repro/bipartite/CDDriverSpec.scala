@@ -2,6 +2,7 @@ package repro.bipartite
 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 
 class CDDriverSpec extends AnyFunSuite {
   import ReceiptLocalSpec.hubGraph
@@ -53,7 +54,7 @@ class CDDriverSpec extends AnyFunSuite {
 
   for (huc <- Seq(true, false); t <- Seq(1, 4))
     test(s"the live-list driver equals the full-scan driver (HUC=$huc, threads=$t)") {
-      val graphs = (1 to 3).map(hubGraph(_)) :+ BipartiteGraph.random(300, 200, 5000, seed = 7)
+      val graphs = (1 to 3).map(hubGraph(_)) :+ TestGraphs.random(300, 200, 5000, seed = 7)
       for ((g, k) <- graphs.zipWithIndex) {
         val c = ReceiptLocal.Config(P = 5, threads = t, enableHUC = huc)
         val got = ReceiptLocal.coarseDecomposition(g, c)
@@ -70,7 +71,7 @@ class CDDriverSpec extends AnyFunSuite {
 
   for (t <- Seq(1, 4))
     test(s"BatchUpdate touches the same distinct live vertices as the boxed round (threads=$t)") {
-      for (g <- Seq(BipartiteGraph.random(200, 120, 2500, seed = 5), hubGraph(2))) {
+      for (g <- Seq(TestGraphs.random(200, 120, 2500, seed = 5), hubGraph(2))) {
         val cnt = ButterflyCounting.vertexPriority(g).cntU
         val (a, b) = (new PeelState(g, enableDGM = true), new PeelState(g, enableDGM = true))
         a.setSupports(cnt); b.setSupports(cnt)

@@ -1,5 +1,7 @@
 package repro.bipartite
 
+import repro.TestGraphs.GraphOps
+
 /** Definition-level tip decomposition oracle: repeatedly re-counts
   * butterflies among the remaining vertices from scratch (brute force) and
   * removes one minimum vertex, assigning `θ = max(θ so far, its count)`.

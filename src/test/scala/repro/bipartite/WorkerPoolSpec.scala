@@ -2,6 +2,7 @@ package repro.bipartite
 
 import java.util.concurrent.ConcurrentHashMap
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import scala.jdk.CollectionConverters._
 
 class WorkerPoolSpec extends AnyFunSuite {
@@ -43,7 +44,7 @@ class WorkerPoolSpec extends AnyFunSuite {
   }
 
   test("threads < 1 is rejected up front, naming the value, on every kernel's path") {
-    val g = BipartiteGraph.random(40, 30, 300, seed = 2)
+    val g = TestGraphs.random(40, 30, 300, seed = 2)
     for (t <- Seq(0, -1)) {
       val calls = Seq[(String, () => Any)](
         "WorkerPool" -> (() => new WorkerPool(t)),
@@ -63,7 +64,7 @@ class WorkerPoolSpec extends AnyFunSuite {
     val pool = new WorkerPool(2)
     try pool.run(0)(_ => fail("no task expected")) finally pool.close()
     // FD on a graph without U vertices has no tasks
-    val r = ReceiptLocal.run(BipartiteGraph.fromEdges(0, 3, Nil), ReceiptLocal.Config(threads = 4))
+    val r = ReceiptLocal.run(TestGraphs.fromEdges(0, 3, Nil), ReceiptLocal.Config(threads = 4))
     assert(r.tips.isEmpty && r.cd.subsets == 0)
   }
 }

@@ -1,8 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{BipartiteGen, SparkSpec}
-import repro.bipartite.BipartiteGraph
+import repro.{BipartiteGen, SparkSpec, TestGraphs}
+import repro.TestGraphs.GraphOps
 
 class BipartiteDFSpec extends SparkSpec {
 
@@ -15,7 +15,7 @@ class BipartiteDFSpec extends SparkSpec {
   }
 
   test("degrees match the local graph") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 40, 30, 250, seed = 1)
+    val (g, df) = TestGraphs.randomWithDF(spark, 40, 30, 250, seed = 1)
     val du = BipartiteDF.degreesU(df).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     val dv = BipartiteDF.degreesV(df).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     for (u <- 0 until g.nU if g.degU(u) > 0) assert(du(u.toLong) == g.degU(u))
@@ -27,12 +27,12 @@ class BipartiteDFSpec extends SparkSpec {
     BipartiteDF.degreesV(edges).agg(sum(BipartiteDF.choose2(col("dv")))).collect()(0).getLong(0)
 
   test("wedgesEndpointsU matches Σ_v C(d_v,2)") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 50, 35, 400, seed = 2)
+    val (g, df) = TestGraphs.randomWithDF(spark, 50, 35, 400, seed = 2)
     assert(wedgesEndpointsU(df) == g.wedgesEndpointsU)
   }
 
   test("toLocal round-trips the edge set") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 30, 20, 200, seed = 3)
+    val (g, df) = TestGraphs.randomWithDF(spark, 30, 20, 200, seed = 3)
     for (edges <- Seq(df, df.union(df))) { // duplicates are dropped
       val back = BipartiteDF.toLocal(edges, g.nU, g.nV)
       assert(back.m == g.m)
@@ -50,7 +50,7 @@ class BipartiteDFSpec extends SparkSpec {
   }
 
   test("transposed swaps columns") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 20, 15, 100, seed = 4)
+    val (g, df) = TestGraphs.randomWithDF(spark, 20, 15, 100, seed = 4)
     val t = BipartiteDF.transposed(df)
     assert(wedgesEndpointsU(t) == g.wedgesEndpointsV)
   }

@@ -2,8 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
-import repro.{BipartiteGen, Oracle, ReferenceCounts, SparkSpec}
-import repro.bipartite.{BipartiteGraph, ButterflyCounting}
+import repro.{BipartiteGen, Oracle, ReferenceCounts, SparkSpec, TestGraphs}
+import repro.bipartite.ButterflyCounting
 
 class SparkButterflySpec extends SparkSpec {
 
@@ -20,13 +20,13 @@ class SparkButterflySpec extends SparkSpec {
       |""".stripMargin
 
   private def uCountsDF(edges: org.apache.spark.sql.DataFrame) =
-    SparkButterfly.countsDF(edges)
+    TestGraphs.countsDF(edges)
       .where(col("node") % 2 === 0)
       .select((col("node") / 2).cast("long") as "u", col("cnt").cast("long") as "cnt")
 
   test("priority dataflow counts match DuckDB oracle on random graphs") {
     for (seed <- 0 until 3) {
-      val (_, df) = BipartiteGen.randomWithDF(spark, 30, 20, 150, seed)
+      val (_, df) = TestGraphs.randomWithDF(spark, 30, 20, 150, seed)
       Oracle.assertEquivalent(uCountsDF(df), duckSql, "edges" -> df)
     }
   }
@@ -34,13 +34,13 @@ class SparkButterflySpec extends SparkSpec {
   test("priority dataflow counts match DuckDB oracle on a skewed graph") {
     val rnd = new java.util.Random(5)
     val es = (0 until 500).map(_ => (rnd.nextInt(60), if (rnd.nextDouble() < 0.7) rnd.nextInt(3) else rnd.nextInt(25)))
-    val g = BipartiteGraph.fromEdges(60, 25, es)
+    val g = TestGraphs.fromEdges(60, 25, es)
     val df = BipartiteGen.edgesDF(spark, g)
     Oracle.assertEquivalent(uCountsDF(df), duckSql, "edges" -> df)
   }
 
   test("naive pair-join counts match DuckDB oracle") {
-    val (_, df) = BipartiteGen.randomWithDF(spark, 25, 18, 120, seed = 9)
+    val (_, df) = TestGraphs.randomWithDF(spark, 25, 18, 120, seed = 9)
     Oracle.assertEquivalent(
       ReferenceCounts.naiveCountsU(df).select(col("u"), col("cnt").cast("long") as "cnt"),
       duckSql, "edges" -> df)
@@ -48,7 +48,7 @@ class SparkButterflySpec extends SparkSpec {
 
   for (seed <- 0 until 5)
     test(s"Spark counts equal the local vertex-priority kernel (seed=$seed)") {
-      val (g, df) = BipartiteGen.randomWithDF(spark, 80 + 10 * seed, 60, 800, seed)
+      val (g, df) = TestGraphs.randomWithDF(spark, 80 + 10 * seed, 60, 800, seed)
       val local = ButterflyCounting.vertexPriority(g)
       val distd = SparkButterfly.perVertex(df, g.nU, g.nV)
       assert(distd.cntU.toSeq == local.cntU.toSeq, s"U seed=$seed")
@@ -56,7 +56,7 @@ class SparkButterflySpec extends SparkSpec {
     }
 
   test("K_{3,4}: closed-form per-vertex counts") {
-    val g = BipartiteGraph.complete(3, 4)
+    val g = TestGraphs.complete(3, 4)
     val r = SparkButterfly.perVertex(BipartiteGen.edgesDF(spark, g), 3, 4)
     assert(r.cntU.forall(_ == 2L * 6), "U side: (a-1)*C(b,2) = 12")
     assert(r.cntV.forall(_ == 3L * 3), "V side: (b-1)*C(a,2) = 9")
@@ -64,13 +64,13 @@ class SparkButterflySpec extends SparkSpec {
   }
 
   test("butterfly-free graphs count to zero") {
-    val star = BipartiteGraph.fromEdges(5, 1, (0 until 5).map(u => (u, 0)))
+    val star = TestGraphs.fromEdges(5, 1, (0 until 5).map(u => (u, 0)))
     val r = SparkButterfly.perVertex(BipartiteGen.edgesDF(spark, star), 5, 1)
     assert(r.cntU.forall(_ == 0) && r.cntV.forall(_ == 0))
   }
 
   test("wedge-row metric respects the Chiba–Nishizeki bound") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 70, 50, 600, seed = 2)
+    val (g, df) = TestGraphs.randomWithDF(spark, 70, 50, 600, seed = 2)
     val r = SparkButterfly.perVertex(df, g.nU, g.nV)
     assert(r.wedges <= 2 * g.countCost)
     // The traversed wedge *sets* depend on the tie-break order among
@@ -82,12 +82,12 @@ class SparkButterflySpec extends SparkSpec {
   }
 
   test("countsDF counts are exact longs") {
-    val (_, df) = BipartiteGen.randomWithDF(spark, 30, 20, 150, seed = 1)
-    assert(SparkButterfly.countsDF(df).schema("cnt").dataType == LongType)
+    val (_, df) = TestGraphs.randomWithDF(spark, 30, 20, 150, seed = 1)
+    assert(TestGraphs.countsDF(df).schema("cnt").dataType == LongType)
   }
 
   test("perVertex in a run's session is one Spark job") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 70, 50, 600, seed = 2)
+    val (g, df) = TestGraphs.randomWithDF(spark, 70, 50, 600, seed = 2)
     val (r, jobs) = SparkPeel.withLiveEdges(spark, df) { live =>
       JobLog(spark)(SparkButterfly.perVertex(live.edges0, g.nU, g.nV))
     }
@@ -96,7 +96,7 @@ class SparkButterflySpec extends SparkSpec {
   }
 
   test("counting a transposed edge set swaps the sides") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 40, 30, 300, seed = 4)
+    val (g, df) = TestGraphs.randomWithDF(spark, 40, 30, 300, seed = 4)
     val r = SparkButterfly.perVertex(df, g.nU, g.nV)
     val t = SparkButterfly.perVertex(BipartiteDF.transposed(df), g.nV, g.nU)
     assert(t.cntU.toSeq == r.cntV.toSeq)

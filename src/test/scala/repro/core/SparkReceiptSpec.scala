@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{BipartiteGen, SparkSpec}
+import repro.{BipartiteGen, SparkSpec, TestGraphs}
 import repro.bipartite.{BipartiteGraph, BUP, ParB, ReceiptLocal}
 
 class SparkReceiptSpec extends SparkSpec {
@@ -14,19 +14,19 @@ class SparkReceiptSpec extends SparkSpec {
       val v = if (rnd.nextDouble() < 0.8) rnd.nextInt(4) else 4 + rnd.nextInt(76)
       (rnd.nextInt(300), v)
     }
-    BipartiteGraph.fromEdges(300, 80, es)
+    TestGraphs.fromEdges(300, 80, es)
   }
 
   for (seed <- 0 until 4)
     test(s"Spark RECEIPT tips equal sequential BUP (seed=$seed)") {
-      val (g, df) = BipartiteGen.randomWithDF(spark, 60 + 20 * seed, 40 + 10 * seed, 700, seed)
+      val (g, df) = TestGraphs.randomWithDF(spark, 60 + 20 * seed, 40 + 10 * seed, 700, seed)
       val bup = BUP.run(g).tips
       val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(4))
       assert(rec.tips.toSeq == bup.toSeq, s"seed=$seed")
     }
 
   test("Spark RECEIPT equals local RECEIPT and ParB on the same graph") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 100, 70, 1000, seed = 11)
+    val (g, df) = TestGraphs.randomWithDF(spark, 100, 70, 1000, seed = 11)
     val local = ReceiptLocal.run(g, ReceiptLocal.Config(P = 4, threads = 4)).tips
     val parb = ParB.run(g, threads = 4).tips
     val dist = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(4)).tips
@@ -48,7 +48,7 @@ class SparkReceiptSpec extends SparkSpec {
       val v = if (rnd.nextDouble() < 0.85) rnd.nextInt(3) else 3 + rnd.nextInt(117)
       (rnd.nextInt(500), v)
     }
-    val g = BipartiteGraph.fromEdges(500, 120, es)
+    val g = TestGraphs.fromEdges(500, 120, es)
     val df = BipartiteGen.edgesDF(spark, g)
     val on = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(4, huc = true))
     val off = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(4, huc = false))
@@ -61,7 +61,7 @@ class SparkReceiptSpec extends SparkSpec {
 
   test("isolated and degree-0 vertices get tip 0") {
     // u=4..6 have no edges at all
-    val g = BipartiteGraph.fromEdges(7, 3, Seq((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2)))
+    val g = TestGraphs.fromEdges(7, 3, Seq((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2)))
     val df = BipartiteGen.edgesDF(spark, g)
     val rec = SparkReceipt.run(spark, df, 7, 3, cfg(2))
     assert(rec.tips(0) == 1L && rec.tips(1) == 1L)
@@ -69,27 +69,27 @@ class SparkReceiptSpec extends SparkSpec {
   }
 
   test("complete graph K_{3,3} decomposes to all 6s") {
-    val g = BipartiteGraph.complete(3, 3)
+    val g = TestGraphs.complete(3, 3)
     val rec = SparkReceipt.run(spark, BipartiteGen.edgesDF(spark, g), 3, 3, cfg(2))
     assert(rec.tips.toSeq == Seq(6L, 6L, 6L))
   }
 
   test("P invariance: P=1 and P=8 give identical tips") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 80, 50, 700, seed = 21)
+    val (g, df) = TestGraphs.randomWithDF(spark, 80, 50, 700, seed = 21)
     val a = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(1)).tips
     val b = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(8)).tips
     assert(a.toSeq == b.toSeq)
   }
 
   test("V-side decomposition via transposition equals local BUP on transpose") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 50, 40, 450, seed = 23)
+    val (g, df) = TestGraphs.randomWithDF(spark, 50, 40, 450, seed = 23)
     val bupT = BUP.run(g.transpose).tips
     val rec = SparkReceipt.run(spark, BipartiteDF.transposed(df), g.nV, g.nU, cfg(3))
     assert(rec.tips.toSeq == bupT.toSeq)
   }
 
   test("metrics: ρ is counted and far below ParB's on a non-trivial graph") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 300, 200, 4000, seed = 31)
+    val (g, df) = TestGraphs.randomWithDF(spark, 300, 200, 4000, seed = 31)
     val parb = ParB.run(g, threads = 4)
     val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(5))
     assert(rec.tips.toSeq == parb.tips.toSeq)
@@ -99,7 +99,7 @@ class SparkReceiptSpec extends SparkSpec {
   }
 
   test("Spark ParB equals BUP when it finishes within budget") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 24, 16, 130, seed = 41)
+    val (g, df) = TestGraphs.randomWithDF(spark, 24, 16, 130, seed = 41)
     val bup = BUP.run(g)
     val pb = SparkParB.run(spark, df, g.nU, g.nV, budgetMs = 600000)
     assert(pb.finished)
@@ -109,7 +109,7 @@ class SparkReceiptSpec extends SparkSpec {
   }
 
   test("Spark ParB respects its round budget and reports DNF") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 120, 80, 1200, seed = 43)
+    val (g, df) = TestGraphs.randomWithDF(spark, 120, 80, 1200, seed = 43)
     val pb = SparkParB.run(spark, df, g.nU, g.nV, budgetMs = 600000, maxRounds = 3)
     assert(!pb.finished)
     assert(pb.rounds == 3)
@@ -119,29 +119,34 @@ class SparkReceiptSpec extends SparkSpec {
   }
 
   test("metrics: FD wedge work does not exceed CD peel work") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 200, 150, 2500, seed = 37)
+    val (g, df) = TestGraphs.randomWithDF(spark, 200, 150, 2500, seed = 37)
     val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(6, huc = false))
     assert(rec.metrics.fdWedges <= rec.metrics.cdPeelWedges)
   }
 
-  test("CD with HUC off: Spark and local engines agree on subsets, ranges and rounds") {
-    for ((g, p) <- Seq((BipartiteGraph.random(300, 200, 4000, 31), 5), (hubGraph(3), 4))) {
-      val localRun = ReceiptLocal.run(g, ReceiptLocal.Config(P = p, threads = 4, enableHUC = false))
-      val distRun = SparkReceipt.run(spark, BipartiteGen.edgesDF(spark, g), g.nU, g.nV, cfg(p, huc = false))
-      val (local, dist) = (localRun.cd, distRun.cd)
-      assert(distRun.tips.toSeq == localRun.tips.toSeq)
-      assert(distRun.metrics.fdWedges == localRun.metrics.fdWedges)
-      assert(dist.subsetOf.toSeq == local.subsetOf.toSeq)
-      assert(dist.lo.toSeq == local.lo.toSeq)
-      assert(dist.hi.toSeq == local.hi.toSeq)
-      assert(dist.rounds == local.rounds)
-      assert(dist.subsets == local.subsets)
+  // With HUC on, the engines weigh different peel costs (local: stored
+  // adjacency lengths; Spark: live degrees), so they may re-count in
+  // different rounds; the partition does not depend on that choice, while
+  // hucTriggers, hucWedges and peelWedges do and are not compared.
+  for (huc <- Seq(false, true))
+    test(s"CD with HUC ${if (huc) "on" else "off"}: Spark and local engines agree on subsets, ranges and rounds") {
+      for ((g, p) <- Seq((TestGraphs.random(300, 200, 4000, 31), 5), (hubGraph(3), 4))) {
+        val localRun = ReceiptLocal.run(g, ReceiptLocal.Config(P = p, threads = 4, enableHUC = huc))
+        val distRun = SparkReceipt.run(spark, BipartiteGen.edgesDF(spark, g), g.nU, g.nV, cfg(p, huc = huc))
+        val (local, dist) = (localRun.cd, distRun.cd)
+        assert(distRun.tips.toSeq == localRun.tips.toSeq)
+        assert(distRun.metrics.fdWedges == localRun.metrics.fdWedges)
+        assert(dist.subsetOf.toSeq == local.subsetOf.toSeq)
+        assert(dist.lo.toSeq == local.lo.toSeq)
+        assert(dist.hi.toSeq == local.hi.toSeq)
+        assert(dist.rounds == local.rounds)
+        assert(dist.subsets == local.subsets)
+      }
     }
-  }
 
   test("a run leaves no RDD persisted, with more and with at most 8 CD rounds") {
     val sc = spark.sparkContext
-    for ((g, p, manyRounds) <- Seq((BipartiteGraph.random(300, 200, 4000, 31), 5, true), (hubGraph(3), 4, false))) {
+    for ((g, p, manyRounds) <- Seq((TestGraphs.random(300, 200, 4000, 31), 5, true), (hubGraph(3), 4, false))) {
       val df = BipartiteGen.edgesDF(spark, g)
       val before = sc.getPersistentRDDs.keySet
       val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(p))
@@ -153,7 +158,7 @@ class SparkReceiptSpec extends SparkSpec {
   }
 
   test("a run never changes the caller's session conf, at any job start") {
-    val (g, df) = BipartiteGen.randomWithDF(spark, 60, 40, 500, seed = 5)
+    val (g, df) = TestGraphs.randomWithDF(spark, 60, 40, 500, seed = 5)
     val conf0 = (spark.conf.get("spark.sql.shuffle.partitions"), spark.conf.get("spark.sql.adaptive.enabled"))
     val ((rec, pb), confs) = JobLog(spark) {
       (SparkReceipt.run(spark, df, g.nU, g.nV, cfg(4)),
@@ -168,7 +173,7 @@ class SparkReceiptSpec extends SparkSpec {
     import scala.concurrent.{Await, Future}
     import scala.concurrent.ExecutionContext.Implicits.global
     import scala.concurrent.duration._
-    val a = BipartiteGen.randomWithDF(spark, 100, 70, 1000, seed = 11)
+    val a = TestGraphs.randomWithDF(spark, 100, 70, 1000, seed = 11)
     val hub = hubGraph(3)
     val inputs = Seq(a, a, (hub, BipartiteGen.edgesDF(spark, hub)))
     def run(in: (BipartiteGraph, org.apache.spark.sql.DataFrame)): Seq[Long] =
