@@ -186,19 +186,16 @@ object ButterflyCounting {
         wedges
       }
 
-      if (threads == 1 || n < 1024) wedgesTotal.set(processRange(0, n, scratchW(0), scratchZ(0)))
-      else {
-        val chunk = math.max(1, n / (16 * threads))
-        val next = new AtomicInteger(0)
-        pool.run(threads) { t =>
-          var w = 0L
-          var from = next.getAndAdd(chunk)
-          while (from < n) {
-            w += processRange(from, math.min(n, from + chunk), scratchW(t), scratchZ(t))
-            from = next.getAndAdd(chunk)
-          }
-          wedgesTotal.addAndGet(w)
+      val chunk = math.max(1, n / (16 * threads))
+      val next = new AtomicInteger(0)
+      pool.run(threads) { t =>
+        var w = 0L
+        var from = next.getAndAdd(chunk)
+        while (from < n) {
+          w += processRange(from, math.min(n, from + chunk), scratchW(t), scratchZ(t))
+          from = next.getAndAdd(chunk)
         }
+        wedgesTotal.addAndGet(w)
       }
 
       var u = 0

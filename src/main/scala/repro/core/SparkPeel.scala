@@ -8,11 +8,11 @@ import repro.bipartite.PeelState
 /** Batch-peeling building blocks shared by the dataflow engines
   * ([[SparkReceipt]] CD rounds and [[SparkParB]] rounds): one round
   * ([[peelRound]]) is one wedge-join update query over the live edge set,
-  * followed by an anti-join that removes the peeled vertices' edges.
+  * after which the peeled vertices are filtered out of it ([[LiveEdges]]).
   */
 object SparkPeel {
 
-  /** Live edges are checkpointed every this many rounds to cut lineage. */
+  /** The live edges filter at most this many drops before a re-base ([[LiveEdges]]). */
   val CheckpointEvery = 8
 
   /** Runs `body` on the live edges of `edgesIn` (see [[LiveEdges]]) in a
@@ -21,7 +21,7 @@ object SparkPeel {
     * runs many small iterative jobs, for which wide shuffles and re-planning
     * are pure overhead. The caller's session conf is never touched, so
     * several runs can share one session, concurrently too. Afterwards
-    * releases everything the live edges cached.
+    * releases what the live edges hold.
     */
   def withLiveEdges[A](spark: SparkSession, edgesIn: DataFrame)(body: LiveEdges => A): A = {
     val session = spark.newSession()
@@ -34,18 +34,21 @@ object SparkPeel {
     try body(live) finally live.release()
   }
 
+  /** Rows whose `u` is one of `us`. */
+  private def hasU(us: Array[Int]) = col("u").isin(us.map(_.toLong).toIndexedSeq: _*)
+
   /** One peel round of `batch` (already marked peeled in `st`), as one
-    * Spark job: joins the batch's edges with the live edges to generate
-    * every wedge `u–v–u'`, aggregates by `(u, u')` into shared-butterfly
-    * decrements `C(c,2)` and by `u'` into one combined update, then applies
-    * `⋈_{u'} ← max(capFloor, ⋈_{u'} − dec)` to the driver-side supports of
-    * `st` and drops the batch from `live`. Returns the wedges traversed and
-    * the distinct live vertices whose support changed.
+    * Spark job: joins the batch's live edges with the live edges to
+    * generate every wedge `u–v–u'`, aggregates by `(u, u')` into
+    * shared-butterfly decrements `C(c,2)` and by `u'` into one combined
+    * update, then applies `⋈_{u'} ← max(capFloor, ⋈_{u'} − dec)` to the
+    * driver-side supports of `st` and drops the batch from `live`. Returns
+    * the wedges traversed and the distinct live vertices whose support
+    * changed.
     */
   def peelRound(st: PeelState, live: LiveEdges, batch: Array[Int], capFloor: Long): (Long, Array[Int]) = {
-    val peeled = live.vertexSet(batch)
     val edges = live.cur
-    val updates = edges.join(peeled, "u").select(col("u") as "pu", col("v"))
+    val updates = edges.where(hasU(batch)).select(col("u") as "pu", col("v"))
       .join(edges.select(col("u") as "u2", col("v")), "v")
       .where(col("u2") =!= col("pu"))
       .groupBy("pu", "u2").agg(count(lit(1)) as "c")
@@ -64,59 +67,43 @@ object SparkPeel {
         if (next != cur) { st.sup.set(u2, next); touched += u2 }
       }
     }
-    live.drop(peeled)
+    live.drop(batch)
     (wedges, touched.toArray)
   }
 
-  /** The live edge set of an iterative peel, starting from the full edge
-    * set `edges0`, which is cached (filled by its first reader). Each
-    * [[drop]] anti-joins a peeled batch out; the new generation is cached
-    * (materialized by the next round's job), and every
-    * [[CheckpointEvery]]+1-th one is eagerly checkpointed instead, after
-    * which the older generations — `edges0` included, so later readers of
-    * it recompute it — are released; only then, so no live lineage points
-    * at dropped blocks. [[release]] frees everything still held.
+  /** The live edge set of an iterative peel: one materialized `base` minus
+    * the U vertices dropped since it was made, filtered out on every read.
+    * The first base is the full edge set `edges0`, cached and filled by its
+    * first reader. Every [[CheckpointEvery]]+1-th [[drop]] re-bases: the live
+    * edges are eagerly checkpointed, and only then is the old base released,
+    * so no lineage points at dropped blocks and a run holds one materialized
+    * generation. A drop that does not re-base starts no job. [[release]]
+    * frees the base.
     */
   final class LiveEdges private[SparkPeel] (edges: DataFrame) {
     val edges0: DataFrame = edges.cache()
 
-    /** A vertex batch as a one-column `u` DataFrame (a join key set), in
-      * the run's session like every DataFrame of the run.
-      */
-    def vertexSet(us: Array[Int]): DataFrame = {
-      val spark = edges0.sparkSession
-      import spark.implicits._
-      spark.createDataset(us.map(_.toLong).toSeq).toDF("u")
-    }
+    private var base = edges0
+    private val dropped = scala.collection.mutable.ArrayBuffer[Array[Int]]() // batches since `base`
 
-    private var current = edges0
-    private var sinceCheckpoint = 0
-    private val held = scala.collection.mutable.ArrayBuffer[DataFrame](edges0)
+    def cur: DataFrame = if (dropped.isEmpty) base else base.where(!hasU(dropped.flatten.toArray))
 
-    def cur: DataFrame = current
-
-    def drop(peeled: DataFrame): Unit = {
-      val next = current.join(peeled, Seq("u"), "left_anti")
-      if (sinceCheckpoint >= CheckpointEvery) {
-        sinceCheckpoint = 0
-        current = next.localCheckpoint(true) // eager: lineage truncated here
+    def drop(batch: Array[Int]): Unit = {
+      dropped += batch
+      if (dropped.length > CheckpointEvery) {
+        val next = cur.localCheckpoint(true) // eager: lineage truncated here
         release()
-      } else {
-        sinceCheckpoint += 1
-        current = next.cache() // lazy: materializes with the next round's job
+        base = next
+        dropped.clear()
       }
-      held += current
     }
 
     def release(): Unit = {
-      held.foreach { df =>
-        df.unpersist()
-        df.queryExecution.logical match { // a checkpoint keeps its own RDD
-          case r: LogicalRDD => r.rdd.unpersist(blocking = false)
-          case _ =>
-        }
+      base.unpersist()
+      base.queryExecution.logical match { // a checkpoint keeps its own RDD
+        case r: LogicalRDD => r.rdd.unpersist(blocking = false)
+        case _ =>
       }
-      held.clear()
     }
   }
 }

@@ -20,9 +20,9 @@ import repro.bipartite.{PeelState, ReceiptLocal}
   *    only its peel rounds and re-counts are Spark jobs ([[SparkPeel]]),
   *    so all wedge-heavy work (counting, update aggregation, induced
   *    peels) runs distributed.
-  *  - **DGM is structural here**: peeled vertices are anti-joined out of
-  *    the live edge DataFrame every iteration, so no stale wedges are ever
-  *    shuffled (the paper's periodic compaction, at iteration granularity).
+  *  - **DGM is structural here**: every query filters the peeled vertices
+  *    out of the live edges before any shuffle, so no stale wedges are ever
+  *    shuffled (the paper's compaction, at iteration granularity).
   *  - **HUC**: when the live peel cost `Σ_{u∈active} Σ_{v∈N_u} d_v` exceeds
   *    the Chiba–Nishizeki re-count bound, the round instead re-counts
   *    butterflies with [[SparkButterfly]] on the live edge set.
@@ -58,7 +58,7 @@ object SparkReceipt {
       def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) =
         SparkPeel.peelRound(st, live, batch, capFloor)
       def recount(removed: Array[Int]): (Array[Long], Long) = {
-        live.drop(live.vertexSet(removed))
+        live.drop(removed)
         val rc = SparkButterfly.perVertex(live.cur, nU, nV)
         (rc.cntU, rc.wedges)
       }
