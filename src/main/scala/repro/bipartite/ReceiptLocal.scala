@@ -101,10 +101,10 @@ object ReceiptLocal {
       */
     def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int])
 
-    /** Per-U butterfly counts of the live graph, `removed` (already marked
-      * peeled) now gone, and the wedges the count traversed.
+    /** Per-U butterfly counts of the live graph (the U vertices alive in
+      * the driver's state) and the wedges the count traversed.
       */
-    def recount(removed: Array[Int]): (Array[Long], Long)
+    def recount(): (Array[Long], Long)
   }
 
   /** Shared-memory CD: vertex-priority counting, then the alg. 3 driver
@@ -129,7 +129,7 @@ object ReceiptLocal {
       val rounds = new CDRounds {
         def peelCost(u: Int): Long = st.storedPeelCost(u) // stale until DGM compacts
         def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = update(batch, capFloor)
-        def recount(removed: Array[Int]): (Array[Long], Long) = {
+        def recount(): (Array[Long], Long) = {
           comb.retainU(st.alive)
           val rc = comb.count(pool)
           (rc.cntU, rc.wedges)
@@ -231,7 +231,7 @@ object ReceiptLocal {
         if (enableHUC && cPeel > cRcntCache) {
           hucTriggers += 1
           val tRc0 = System.nanoTime()
-          val (cnt, wedges) = sub.recount(active)
+          val (cnt, wedges) = sub.recount()
           hucNs += System.nanoTime() - tRc0
           compactLive()
           k = 0

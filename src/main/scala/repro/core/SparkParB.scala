@@ -29,12 +29,12 @@ object SparkParB {
           budgetMs: Long = 120000, maxRounds: Long = Long.MaxValue): Result = {
     val t0 = System.nanoTime()
     def elapsedMs: Double = (System.nanoTime() - t0) / 1e6
-    SparkPeel.withLiveEdges(spark, edgesIn) { live =>
-      val g = BipartiteDF.toLocal(live.edges0, nU, nV)
+    SparkPeel.withEdges(spark, edgesIn) { edges0 =>
+      val g = BipartiteDF.toLocal(edges0, nU, nV)
       val st = new PeelState(g, enableDGM = false) // driver support bookkeeping
-      st.setSupports(SparkButterfly.perVertex(live.edges0, nU, nV).cntU)
+      st.setSupports(SparkButterfly.perVertex(edges0, nU, nV).cntU)
 
-      val r = ParB.peel(st, SparkPeel.peelRound(st, live, _, _),
+      val r = ParB.peel(st, SparkPeel.peelRound(st, edges0, _, _),
         rounds => elapsedMs < budgetMs && rounds < maxRounds)
       Result(r.tips, r.metrics.rounds, r.metrics.peelWedges, finished = st.aliveCount == 0, elapsedMs)
     }

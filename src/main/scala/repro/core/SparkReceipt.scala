@@ -8,21 +8,23 @@ import repro.bipartite.{PeelState, ReceiptLocal}
   * Mapping of the paper's shared-memory design onto Spark:
   *
   *  - **CD peel iteration → one Spark job.** The whole active range is
-  *    peeled at once: a join of the peeled vertices' edges with the live
-  *    edge set generates every wedge `u–v–u'`, aggregation by `(u, u')`
-  *    yields shared-butterfly decrements `C(c,2)`, and a second aggregation
-  *    by `u'` produces one combined support update per 2-hop neighbour.
-  *    The job barrier *is* the synchronization round ρ counts.
-  *  - **Control state lives on the driver** (support array, range bounds,
-  *    HUC cost estimates via a [[PeelState]] skeleton) — the analogue of
-  *    the paper's shared arrays. The CD loop is the same alg. 3 driver the
-  *    shared-memory engine runs ([[ReceiptLocal.coarseDecomposition]]);
-  *    only its peel rounds and re-counts are Spark jobs ([[SparkPeel]]),
-  *    so all wedge-heavy work (counting, update aggregation, induced
-  *    peels) runs distributed.
-  *  - **DGM is structural here**: every query filters the peeled vertices
-  *    out of the live edges before any shuffle, so no stale wedges are ever
-  *    shuffled (the paper's compaction, at iteration granularity).
+  *    peeled at once: a join of the peeled vertices' edges with the edges
+  *    live before the round generates every wedge `u–v–u'`, aggregation by
+  *    `(u, u')` yields shared-butterfly decrements `C(c,2)`, and a second
+  *    aggregation by `u'` produces one combined support update per 2-hop
+  *    neighbour. The job barrier *is* the synchronization round ρ counts.
+  *  - **Control state lives on the driver** (support array, `alive` flags,
+  *    range bounds, HUC cost estimates via a [[PeelState]] skeleton) — the
+  *    analogue of the paper's shared arrays. The CD loop is the same
+  *    alg. 3 driver the shared-memory engine runs
+  *    ([[ReceiptLocal.coarseDecomposition]]); only its peel rounds and
+  *    re-counts are Spark jobs ([[SparkPeel]]), so all wedge-heavy work
+  *    (counting, update aggregation, induced peels) runs distributed.
+  *  - **DGM is structural here**: the live edges are the cached input
+  *    filtered by the driver's `alive` flags ([[SparkPeel.live]]), so every
+  *    query drops the peeled vertices' edges before any shuffle and no stale
+  *    wedges are ever shuffled (the paper's compaction, at iteration
+  *    granularity).
   *  - **HUC**: when the live peel cost `Σ_{u∈active} Σ_{v∈N_u} d_v` exceeds
   *    the Chiba–Nishizeki re-count bound, the round instead re-counts
   *    butterflies with [[SparkButterfly]] on the live edge set.
@@ -41,14 +43,14 @@ object SparkReceipt {
   type Result = ReceiptLocal.Result
 
   def run(spark: SparkSession, edgesIn: DataFrame, nU: Int, nV: Int,
-          cfg: Config = Config()): Result = SparkPeel.withLiveEdges(spark, edgesIn) { live =>
+          cfg: Config = Config()): Result = SparkPeel.withEdges(spark, edgesIn) { edges0 =>
     // Driver-side skeleton: adjacency for cost estimates and the FD task list.
-    val g = BipartiteDF.toLocal(live.edges0, nU, nV)
+    val g = BipartiteDF.toLocal(edges0, nU, nV)
     val st = new PeelState(g, enableDGM = false) // bookkeeping only
 
     // ---- initial counting (Spark dataflow) ----
     val tCnt0 = System.nanoTime()
-    val counts = SparkButterfly.perVertex(live.edges0, nU, nV)
+    val counts = SparkButterfly.perVertex(edges0, nU, nV)
     st.setSupports(counts.cntU)
     val cntTimeMs = (System.nanoTime() - tCnt0) / 1e6
 
@@ -56,10 +58,9 @@ object SparkReceipt {
     val rounds = new ReceiptLocal.CDRounds {
       def peelCost(u: Int): Long = st.livePeelCost(u) // DGM is structural here
       def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) =
-        SparkPeel.peelRound(st, live, batch, capFloor)
-      def recount(removed: Array[Int]): (Array[Long], Long) = {
-        live.drop(removed)
-        val rc = SparkButterfly.perVertex(live.cur, nU, nV)
+        SparkPeel.peelRound(st, edges0, batch, capFloor)
+      def recount(): (Array[Long], Long) = {
+        val rc = SparkButterfly.perVertex(SparkPeel.live(st, edges0), nU, nV)
         (rc.cntU, rc.wedges)
       }
     }

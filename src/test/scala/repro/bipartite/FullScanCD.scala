@@ -25,7 +25,7 @@ object FullScanCD {
       val rounds = new CDRounds {
         def peelCost(u: Int): Long = st.storedPeelCost(u)
         def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = update(batch, capFloor)
-        def recount(removed: Array[Int]): (Array[Long], Long) = {
+        def recount(): (Array[Long], Long) = {
           comb.retainU(st.alive)
           val rc = comb.count(pool)
           (rc.cntU, rc.wedges)
@@ -69,7 +69,7 @@ object FullScanCD {
         rounds += 1
         if (enableHUC && cPeel > cRcntCache) {
           hucTriggers += 1
-          val (cnt, wedges) = sub.recount(active)
+          val (cnt, wedges) = sub.recount()
           for (u <- 0 until nU if st.alive(u)) st.sup.set(u, cnt(u))
           hucWedges += wedges
           cRcntCache = recountCost(st)

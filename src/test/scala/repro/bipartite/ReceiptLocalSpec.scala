@@ -99,7 +99,7 @@ class ReceiptLocalSpec extends AnyFunSuite {
         ReceiptLocal.coarseDecomposition(st, c.P, enableHUC = true, counts.wedges, 0.0, new ReceiptLocal.CDRounds {
           def peelCost(u: Int): Long = st.storedPeelCost(u)
           def peel(batch: Array[Int], capFloor: Long): (Long, Array[Int]) = update(batch, capFloor)
-          def recount(removed: Array[Int]): (Array[Long], Long) = {
+          def recount(): (Array[Long], Long) = {
             val rc = ButterflyCounting.vertexPriority(g.filterU(st.alive), c.threads)
             (rc.cntU, rc.wedges)
           }

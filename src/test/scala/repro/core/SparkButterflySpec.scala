@@ -88,8 +88,8 @@ class SparkButterflySpec extends SparkSpec {
 
   test("perVertex in a run's session is one Spark job") {
     val (g, df) = TestGraphs.randomWithDF(spark, 70, 50, 600, seed = 2)
-    val (r, jobs) = SparkPeel.withLiveEdges(spark, df) { live =>
-      JobLog(spark)(SparkButterfly.perVertex(live.edges0, g.nU, g.nV))
+    val (r, jobs) = SparkPeel.withEdges(spark, df) { edges0 =>
+      JobLog(spark)(SparkButterfly.perVertex(edges0, g.nU, g.nV))
     }
     assert(jobs.size == 1, s"jobs=${jobs.size}")
     assert(r.cntU.toSeq == ButterflyCounting.vertexPriority(g).cntU.toSeq)

@@ -144,13 +144,12 @@ class SparkReceiptSpec extends SparkSpec {
       }
     }
 
-  test("a run leaves no RDD persisted, with more and with at most 8 CD rounds") {
+  test("a run leaves no RDD persisted, on a random and on a hub graph") {
     val sc = spark.sparkContext
-    for ((g, p, manyRounds) <- Seq((TestGraphs.random(300, 200, 4000, 31), 5, true), (hubGraph(3), 4, false))) {
+    for ((g, p) <- Seq((TestGraphs.random(300, 200, 4000, 31), 5), (hubGraph(3), 4))) {
       val df = BipartiteGen.edgesDF(spark, g)
       val before = sc.getPersistentRDDs.keySet
-      val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(p))
-      assert((rec.metrics.rounds > SparkPeel.CheckpointEvery) == manyRounds, s"rounds=${rec.metrics.rounds}")
+      SparkReceipt.run(spark, df, g.nU, g.nV, cfg(p))
       val left = sc.getPersistentRDDs.keySet -- before
       assert(left.isEmpty, s"still persisted after the run: $left")
       assert(sc.getPersistentRDDs.size == before.size)
